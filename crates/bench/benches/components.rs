@@ -12,37 +12,15 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mpps_bench::experiments::SEED;
+use mpps_bench::sections::{cross_changes, sections};
 use mpps_core::{
     simulate, MappingConfig, MappingVariant, OverheadSetting, Partition, RootDistribution,
     ThreadedMatcher,
 };
-use mpps_ops::{Matcher, Wme, WmeChange, WmeId};
+use mpps_ops::{Matcher, Strategy, Wme, WmeChange, WmeId};
 use mpps_rete::{EngineConfig, ReteMatcher, ReteNetwork};
-use mpps_workloads::{synth, tourney};
+use mpps_workloads::{capture_trace, synth, tourney};
 use std::hint::black_box;
-
-/// WM changes that trigger a sizable cross-product match.
-fn cross_changes(n: usize) -> Vec<WmeChange> {
-    let mut changes = Vec::new();
-    for i in 0..n {
-        changes.push(WmeChange::add(
-            WmeId(1 + i as u64),
-            Wme::new("team", &[("div", "east".into()), ("id", (i as i64).into())]),
-        ));
-        changes.push(WmeChange::add(
-            WmeId(1000 + i as u64),
-            Wme::new(
-                "team",
-                &[("div", "west".into()), ("id", (100 + i as i64).into())],
-            ),
-        ));
-    }
-    changes.push(WmeChange::add(
-        WmeId(5000),
-        Wme::new("round", &[("n", 1.into())]),
-    ));
-    changes
-}
 
 fn bench_memory_ablation(c: &mut Criterion) {
     // table_size = 1 degenerates every hashed memory into a single linear
@@ -121,46 +99,12 @@ fn bench_pairs_ablation(c: &mut Criterion) {
     g.finish();
 }
 
-/// Replay-capture helper: run `program` under the interpreter and return
-/// the per-cycle WM change batches it handed the matcher.
-fn section_batches(
-    program: &mpps_ops::Program,
-    initial: Vec<Wme>,
-    cycles: usize,
-) -> Vec<Vec<WmeChange>> {
-    use mpps_ops::{Interpreter, Strategy};
-    let m = ReteMatcher::from_program(program).unwrap();
-    let mut interp = Interpreter::with_matcher(program.clone(), Strategy::Lex, m);
-    for w in initial {
-        interp.add_wme(w);
-    }
-    interp.run(cycles).unwrap();
-    interp.change_log().to_vec()
-}
-
 fn bench_sequential_vs_threaded(c: &mut Criterion) {
-    use mpps_workloads::{rubik, weaver};
     // The three characteristic sections pull in different directions:
     // Tourney's cross product concentrates on few buckets (little
     // parallelism to win), Rubik is modify-heavy with wide fan-out, and
     // Weaver sits in between.
-    let sections: Vec<(&str, mpps_ops::Program, Vec<Vec<WmeChange>>)> = vec![
-        (
-            "rubik",
-            rubik::program(),
-            section_batches(
-                &rubik::program(),
-                rubik::initial(&rubik::alternating_moves(2)),
-                10,
-            ),
-        ),
-        ("tourney", tourney::program(), vec![cross_changes(20)]),
-        (
-            "weaver",
-            weaver::program(),
-            section_batches(&weaver::program(), weaver::initial(4, 4), 12),
-        ),
-    ];
+    let sections = sections();
     let mut g = c.benchmark_group("match_executors");
     g.sample_size(20);
     for (label, program, batches) in &sections {
@@ -198,18 +142,13 @@ fn bench_rete_vs_treat(c: &mut Criterion) {
     // cross product pull in opposite directions.
     use mpps_ops::TreatMatcher;
     let cube = mpps_workloads::rubik::program_with_observers(20);
-    let cube_batches: Vec<Vec<WmeChange>> = {
-        // Replay the interpreter's change log so both matchers see the
-        // same modify-heavy traffic.
-        use mpps_ops::{Interpreter, Strategy};
-        let m = ReteMatcher::from_program(&cube).unwrap();
-        let mut interp = Interpreter::with_matcher(cube.clone(), Strategy::Lex, m);
-        for w in mpps_workloads::rubik::initial(&mpps_workloads::rubik::alternating_moves(4)) {
-            interp.add_wme(w);
-        }
-        interp.run(12).unwrap();
-        interp.change_log().to_vec()
-    };
+    // Replay the interpreter's change batches so both matchers see the
+    // same modify-heavy traffic.
+    let moves = mpps_workloads::rubik::alternating_moves(4);
+    let initial = mpps_workloads::rubik::initial(&moves);
+    let cube_batches = capture_trace(cube.clone(), initial, Strategy::Lex, 12, 64)
+        .unwrap()
+        .batches;
     let mut g = c.benchmark_group("rete_vs_treat");
     g.bench_function("rete_modify_heavy", |b| {
         b.iter(|| {

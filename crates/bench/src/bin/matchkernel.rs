@@ -31,10 +31,10 @@
 //! copy-and-constraint + online migration vs static greedy) and records
 //! its before/after skew factors in the manifest's `"adapt"` block.
 
-use mpps_ops::{Matcher, Program, Wme, WmeChange, WmeId};
+use mpps_bench::sections::sections;
+use mpps_ops::Matcher;
 use mpps_rete::{EngineConfig, ReteMatcher, ReteNetwork};
 use mpps_telemetry::MetricsRegistry;
-use mpps_workloads::{rubik, tourney, weaver};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -43,63 +43,6 @@ use std::time::Instant;
 /// acceptance bar is ≥2× against these.
 const PRE_REWORK_BASELINE_US: &[(&str, f64)] =
     &[("rubik", 738.10), ("tourney", 855.71), ("weaver", 217.96)];
-
-/// WM changes that trigger a sizable cross-product match (the Tourney
-/// pathology) — mirrors the criterion group.
-fn cross_changes(n: usize) -> Vec<WmeChange> {
-    let mut changes = Vec::new();
-    for i in 0..n {
-        changes.push(WmeChange::add(
-            WmeId(1 + i as u64),
-            Wme::new("team", &[("div", "east".into()), ("id", (i as i64).into())]),
-        ));
-        changes.push(WmeChange::add(
-            WmeId(1000 + i as u64),
-            Wme::new(
-                "team",
-                &[("div", "west".into()), ("id", (100 + i as i64).into())],
-            ),
-        ));
-    }
-    changes.push(WmeChange::add(
-        WmeId(5000),
-        Wme::new("round", &[("n", 1.into())]),
-    ));
-    changes
-}
-
-/// Replay-capture helper: run `program` under the interpreter and return
-/// the per-cycle WM change batches it handed the matcher.
-fn section_batches(program: &Program, initial: Vec<Wme>, cycles: usize) -> Vec<Vec<WmeChange>> {
-    use mpps_ops::{Interpreter, Strategy};
-    let m = ReteMatcher::from_program(program).unwrap();
-    let mut interp = Interpreter::with_matcher(program.clone(), Strategy::Lex, m);
-    for w in initial {
-        interp.add_wme(w);
-    }
-    interp.run(cycles).unwrap();
-    interp.change_log().to_vec()
-}
-
-fn sections() -> Vec<(&'static str, Program, Vec<Vec<WmeChange>>)> {
-    vec![
-        (
-            "rubik",
-            rubik::program(),
-            section_batches(
-                &rubik::program(),
-                rubik::initial(&rubik::alternating_moves(2)),
-                10,
-            ),
-        ),
-        ("tourney", tourney::program(), vec![cross_changes(20)]),
-        (
-            "weaver",
-            weaver::program(),
-            section_batches(&weaver::program(), weaver::initial(4, 4), 12),
-        ),
-    ]
-}
 
 /// Median of `samples` timed runs of `f`, in µs.
 fn median_us(samples: usize, mut f: impl FnMut()) -> f64 {

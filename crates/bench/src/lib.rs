@@ -5,8 +5,9 @@
 //! `benches/` time them (plus the design-choice ablations called out in
 //! DESIGN.md). [`adapt`] is the live closed-skew-loop scenario shared by
 //! the `matchkernel` manifest, the `repro adapt` figure, and the adapt
-//! smoke test.
+//! smoke test; [`sections`] holds the match-kernel bench sections.
 
 pub mod adapt;
 pub mod experiments;
+pub mod sections;
 pub mod telemetry;

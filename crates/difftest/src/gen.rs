@@ -5,8 +5,9 @@
 //! integer values `0..=2` and two symbols — so that independently generated
 //! condition elements collide on the same WMEs and joins actually join.
 //! Productions share first CEs with earlier productions some of the time to
-//! exercise alpha/beta network sharing, and negated CEs appear anywhere in
-//! the LHS (including before the first positive CE).
+//! exercise alpha/beta network sharing, negated CEs appear anywhere in
+//! the LHS (including before the first positive CE), and constant tests
+//! are sometimes OPS5 disjunctions `<< v1 v2 >>`.
 //!
 //! Generation is validity-by-construction where cheap (RHS only references
 //! variables bound by positive CEs, `remove`/`modify` indices stay in
@@ -15,6 +16,7 @@
 //! whole program, so `generate_case(seed, cfg)` is still a pure function of
 //! its arguments.
 
+use crate::oracle::MAX_STEPS_PER_ROUND;
 use mpps_ops::{
     intern, Action, AttrTest, ConditionElement, OpsError, Predicate, Production, Program, RhsValue,
     Strategy, TestKind, Value, Wme,
@@ -78,6 +80,24 @@ pub struct FuzzCase {
 }
 
 impl FuzzCase {
+    /// A built-in workload as a case: `initial` is round 0, and empty
+    /// rounds follow until the schedule covers `cycles` cycles (the
+    /// oracle still stops at its per-case cap).
+    pub fn workload(
+        program: &Program,
+        initial: Vec<Wme>,
+        strategy: Strategy,
+        cycles: usize,
+    ) -> Self {
+        let mut rounds = vec![initial.into_iter().map(ScheduleOp::Make).collect()];
+        rounds.resize(cycles.div_ceil(MAX_STEPS_PER_ROUND).max(1), Vec::new());
+        FuzzCase {
+            productions: program.iter().map(|(_, p)| p.clone()).collect(),
+            strategy,
+            schedule: Schedule { rounds },
+        }
+    }
+
     /// Build (and thereby validate) the program.
     pub fn program(&self) -> Result<Program, OpsError> {
         Program::from_productions(self.productions.clone())
@@ -136,7 +156,9 @@ fn condition(rng: &mut StdRng, bound: &[&'static str], negated: bool) -> Conditi
                 };
                 TestKind::Variable(intern(v))
             }
-            // Constant equality — the alpha-network workhorse.
+            // Constant equality — the alpha-network workhorse — or, a
+            // quarter of the time, a disjunction of two constants.
+            0..=3 if rng.gen_bool(0.25) => TestKind::disjunction(vec![value(rng), value(rng)]),
             0..=3 => TestKind::Constant(Predicate::Eq, value(rng)),
             // Constant inequality.
             4 => TestKind::Constant(Predicate::Ne, value(rng)),
@@ -258,6 +280,7 @@ fn wme_for_ce(rng: &mut StdRng, ce: &ConditionElement) -> Wme {
     for t in &ce.tests {
         match &t.kind {
             TestKind::Constant(Predicate::Eq, v) => w.set(t.attr, *v),
+            TestKind::Disjunction(vals) => w.set(t.attr, vals[rng.gen_range(0..vals.len())]),
             _ => w.set(t.attr, value(rng)),
         }
     }
@@ -349,6 +372,7 @@ mod tests {
     fn generation_covers_the_interesting_features() {
         let cfg = GenConfig::default();
         let (mut negated, mut mea, mut multi_ce, mut removes) = (false, false, false, false);
+        let mut disjunctive = false;
         for seed in 0..300 {
             let case = generate_case(seed, &cfg);
             mea |= case.strategy == Strategy::Mea;
@@ -356,9 +380,14 @@ mod tests {
                 negated |= p.lhs.iter().any(|ce| ce.negated);
                 multi_ce |= p.lhs.len() > 1;
                 removes |= p.rhs.iter().any(|a| matches!(a, Action::Remove(_)));
+                disjunctive |= p.lhs.iter().any(|ce| {
+                    ce.tests
+                        .iter()
+                        .any(|t| matches!(t.kind, TestKind::Disjunction(_)))
+                });
             }
         }
-        assert!(negated && mea && multi_ce && removes);
+        assert!(negated && mea && multi_ce && removes && disjunctive);
     }
 
     #[test]
@@ -366,42 +395,14 @@ mod tests {
         // Vacuity guard: a generator drift that stops schedules from ever
         // matching productions would leave the oracle comparing empty
         // conflict sets forever. Demand a healthy firing rate.
-        use crate::gen::ScheduleOp;
-        use mpps_ops::interpreter::StepOutcome;
-        use mpps_ops::{Interpreter, WmeId};
         let cfg = GenConfig::default();
-        let mut fired_cases = 0;
-        for seed in 0..100u64 {
-            let case = generate_case(seed, &cfg);
-            let mut interp = Interpreter::new(case.program().unwrap(), case.strategy);
-            let mut fired = false;
-            'case: for round in &case.schedule.rounds {
-                for op in round {
-                    match op {
-                        ScheduleOp::Make(w) => {
-                            interp.add_wme(w.clone());
-                        }
-                        ScheduleOp::RemoveNth(n) => {
-                            let ids: Vec<WmeId> =
-                                interp.working_memory().iter().map(|(id, _)| id).collect();
-                            if let Some(&id) = ids.get(n % ids.len().max(1)) {
-                                interp.remove_wme(id).unwrap();
-                            }
-                        }
-                    }
-                }
-                for _ in 0..8 {
-                    match interp.step() {
-                        Ok(StepOutcome::Fired(_)) => fired = true,
-                        _ => break,
-                    }
-                    if interp.is_halted() {
-                        break 'case;
-                    }
-                }
-            }
-            fired_cases += usize::from(fired);
-        }
+        let fired_cases = (0..100u64)
+            .filter(|&seed| {
+                let case = generate_case(seed, &cfg);
+                let naive = |p: &Program| Ok(mpps_ops::NaiveMatcher::new(p.clone()));
+                !crate::replay_one(&case, naive).unwrap().fired().is_empty()
+            })
+            .count();
         assert!(
             fired_cases >= 25,
             "only {fired_cases}/100 generated cases fired a production"

@@ -7,9 +7,9 @@
 //! brute-force semantic reference), `ReteMatcher`, `TreatMatcher`, and the
 //! message-passing `ThreadedMatcher` — plus three derived configurations
 //! (transform-rewritten networks, and an adaptive threaded matcher that
-//! migrates bucket ownership after every change batch). Hand-written
-//! equivalence tests cover the shapes we thought of; this crate covers the
-//! ones we didn't.
+//! migrates bucket ownership after every change batch). Every agreement
+//! check in the workspace's integration tests runs through this crate,
+//! on generated programs and on the paper's built-in workloads alike.
 //!
 //! The harness has three parts:
 //!
@@ -17,17 +17,24 @@
 //!   productions over a small class/attribute vocabulary, shared join
 //!   prefixes, negated CEs, LEX and MEA, `make`/`remove`/`modify` RHS
 //!   actions) and random external WM-change schedules;
-//! * [`oracle`] — a lockstep driver that runs one [`Interpreter`] per
-//!   matcher through the same cycles and compares conflict sets, fired
+//! * [`oracle`] — the one lockstep driver in the workspace. A [`Lane`] is
+//!   a name plus a matcher builder; the oracle runs one [`Interpreter`] per
+//!   lane through the same cycles and compares conflict sets, fired
 //!   instantiations, and working memory after every cycle, with the naive
-//!   matcher as ground truth;
+//!   matcher as ground truth. Its [`replay`] function is the single
+//!   definition of the schedule cadence (ops, then at most 8 cycles per
+//!   round, at most 64 per case), and [`FuzzCase::workload`] turns a
+//!   built-in program plus initial working memory into a case, so the
+//!   paper's workloads run through the same oracle as generated programs;
 //! * [`shrink`] — a delta-debugging minimizer that, given a diverging
 //!   case, drops productions, schedule rounds/ops, condition elements and
 //!   attribute tests while the divergence persists, then emits the result
 //!   as a runnable `.ops` + `.sched` reproducer pair ([`repro`]).
 //!
 //! The `mpps fuzz` CLI subcommand and the `MPPS_FUZZ_ITERS`-gated CI smoke
-//! test are thin wrappers over [`fuzz_one`].
+//! test are thin wrappers over [`fuzz_one`]; the root `matcher_equivalence`
+//! test adds lanes of its own (partitions, profiled matchers, random
+//! transform plans). Adding a matcher means adding a lane.
 //!
 //! [`NaiveMatcher`]: mpps_ops::NaiveMatcher
 //! [`Interpreter`]: mpps_ops::Interpreter
@@ -46,7 +53,9 @@ use std::fmt;
 use std::str::FromStr;
 
 pub use gen::{generate_case, FuzzCase, GenConfig, Schedule, ScheduleOp};
-pub use oracle::{run_case, Divergence};
+pub use oracle::{
+    compare_cycle, profile_case, replay, replay_one, run_case, Divergence, Flow, Replay,
+};
 pub use repro::{load_repro, render_ops, render_sched, write_repro};
 pub use shrink::shrink_case;
 
@@ -106,6 +115,11 @@ impl MatcherKind {
         }
     }
 
+    /// One oracle lane per kind, in order.
+    pub fn lanes(kinds: &[MatcherKind]) -> Vec<Lane> {
+        kinds.iter().copied().map(Lane::from).collect()
+    }
+
     /// Build a boxed matcher for `program`. The threaded matchers are kept
     /// deliberately small (2 workers, 64 buckets) — the fuzzer's programs
     /// are tiny and the point is agreement, not throughput.
@@ -146,6 +160,53 @@ impl MatcherKind {
         s.split(',')
             .map(|part| part.trim().parse())
             .collect::<Result<Vec<_>, _>>()
+    }
+}
+
+/// Builds a fresh matcher for a program.
+type Builder = dyn Fn(&Program) -> Result<Box<dyn Matcher>, OpsError>;
+
+/// One lane of the oracle: a name for divergence reports plus a builder
+/// that compiles a fresh matcher for each case's program.
+pub struct Lane {
+    name: String,
+    build: Box<Builder>,
+}
+
+impl Lane {
+    /// A lane called `name` whose matchers `build` makes.
+    pub fn new(
+        name: impl Into<String>,
+        build: impl Fn(&Program) -> Result<Box<dyn Matcher>, OpsError> + 'static,
+    ) -> Lane {
+        Lane {
+            name: name.into(),
+            build: Box::new(build),
+        }
+    }
+
+    /// The lane's name, as divergence reports print it.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// A fresh matcher for `program`.
+    pub fn build(&self, program: &Program) -> Result<Box<dyn Matcher>, OpsError> {
+        (self.build)(program)
+    }
+
+    /// Threaded Rete with `workers` workers and its default bucket table,
+    /// named `threaded-{workers}`.
+    pub fn threaded(workers: usize) -> Lane {
+        Lane::new(format!("threaded-{workers}"), move |p| {
+            Ok(Box::new(ThreadedMatcher::from_program(p, workers)?))
+        })
+    }
+}
+
+impl From<MatcherKind> for Lane {
+    fn from(kind: MatcherKind) -> Lane {
+        Lane::new(kind.name(), move |program| kind.build(program))
     }
 }
 
@@ -241,39 +302,35 @@ impl FromStr for MatcherKind {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "naive" => Ok(MatcherKind::Naive),
-            "rete" => Ok(MatcherKind::Rete),
-            "treat" => Ok(MatcherKind::Treat),
-            "threaded" => Ok(MatcherKind::Threaded),
-            "rete-transformed" => Ok(MatcherKind::ReteTransformed),
-            "threaded-transformed" => Ok(MatcherKind::ThreadedTransformed),
-            "threaded-adapt" => Ok(MatcherKind::ThreadedAdapt),
-            other => Err(format!(
-                "unknown matcher {other:?} (naive|rete|treat|threaded|\
-                 rete-transformed|threaded-transformed|threaded-adapt|base|all)"
-            )),
-        }
+        Self::EXTENDED
+            .into_iter()
+            .find(|k| k.name() == s)
+            .ok_or_else(|| {
+                format!(
+                    "unknown matcher {s:?} (naive|rete|treat|threaded|\
+                     rete-transformed|threaded-transformed|threaded-adapt|base|all)"
+                )
+            })
     }
 }
 
 /// Generate case `seed`, oracle it, and — when it diverges and `do_shrink`
 /// is set — minimize before returning. The returned pair is the (possibly
-/// shrunk) case plus the divergence found on it, or `None` if all matchers
+/// shrunk) case plus the divergence found on it, or `None` if all lanes
 /// agreed.
 pub fn fuzz_one(
     seed: u64,
     cfg: &GenConfig,
-    matchers: &[MatcherKind],
+    lanes: &[Lane],
     do_shrink: bool,
 ) -> (FuzzCase, Option<Divergence>) {
     let case = generate_case(seed, cfg);
-    match run_case(&case, matchers) {
+    match run_case(&case, lanes) {
         None => (case, None),
         Some(div) => {
             if do_shrink {
-                let small = shrink_case(&case, matchers, 1000);
-                let small_div = run_case(&small, matchers).unwrap_or(div);
+                let small = shrink_case(&case, lanes, 1000);
+                let small_div = run_case(&small, lanes).unwrap_or(div);
                 (small, Some(small_div))
             } else {
                 (case, Some(div))
@@ -311,8 +368,9 @@ mod tests {
     #[test]
     fn build_produces_working_matchers() {
         let prog = mpps_ops::parse_program("(p t (a ^p <v>) --> (remove 1))").unwrap();
-        for k in MatcherKind::EXTENDED {
-            let mut m = k.build(&prog).unwrap();
+        for lane in MatcherKind::lanes(&MatcherKind::EXTENDED) {
+            let k = lane.name();
+            let mut m = lane.build(&prog).unwrap();
             m.process(&[mpps_ops::WmeChange::add(
                 mpps_ops::WmeId(1),
                 mpps_ops::Wme::new("a", &[("p", 1.into())]),

@@ -172,7 +172,7 @@ mod tests {
             assert_eq!(loaded.productions.len(), case.productions.len());
             // Semantics preserved, not just shape: the oracle sees the same
             // agreement on the loaded copy.
-            assert!(crate::run_case(&loaded, &MatcherKind::ALL).is_none());
+            assert!(crate::run_case(&loaded, &MatcherKind::lanes(&MatcherKind::ALL)).is_none());
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

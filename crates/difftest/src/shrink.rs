@@ -14,12 +14,12 @@
 
 use crate::gen::{FuzzCase, ScheduleOp};
 use crate::oracle::run_case;
-use crate::MatcherKind;
+use crate::Lane;
 use mpps_ops::{Action, RhsValue, TestKind, Value};
 
 /// Budgeted oracle runner: counts invocations so shrinking can't run away.
 struct Budget<'a> {
-    matchers: &'a [MatcherKind],
+    lanes: &'a [Lane],
     remaining: usize,
 }
 
@@ -30,7 +30,7 @@ impl Budget<'_> {
             return false;
         }
         self.remaining -= 1;
-        run_case(candidate, self.matchers).is_some()
+        run_case(candidate, self.lanes).is_some()
     }
 
     fn exhausted(&self) -> bool {
@@ -184,9 +184,9 @@ fn shrink_ints(case: &FuzzCase) -> Vec<FuzzCase> {
 /// Minimize a diverging `case`. `budget` bounds the number of oracle runs
 /// (each candidate costs one). If `case` does not actually diverge it is
 /// returned unchanged.
-pub fn shrink_case(case: &FuzzCase, matchers: &[MatcherKind], budget: usize) -> FuzzCase {
+pub fn shrink_case(case: &FuzzCase, lanes: &[Lane], budget: usize) -> FuzzCase {
     let mut budget = Budget {
-        matchers,
+        lanes,
         remaining: budget,
     };
     if !budget.still_fails(case) {
@@ -212,6 +212,7 @@ pub fn shrink_case(case: &FuzzCase, matchers: &[MatcherKind], budget: usize) -> 
 mod tests {
     use super::*;
     use crate::gen::Schedule;
+    use crate::MatcherKind;
     use mpps_ops::{parse_program, parse_wme, Strategy};
 
     /// A synthetic "divergence": shrinking against a single matcher list we
@@ -260,7 +261,7 @@ mod tests {
     #[test]
     fn shrink_returns_original_for_agreeing_case() {
         let case = sample_case();
-        let out = shrink_case(&case, &MatcherKind::ALL, 50);
+        let out = shrink_case(&case, &MatcherKind::lanes(&MatcherKind::ALL), 50);
         assert_eq!(out.productions, case.productions);
         assert_eq!(out.schedule, case.schedule);
     }

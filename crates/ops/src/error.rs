@@ -75,6 +75,9 @@ pub enum OpsError {
     /// The matcher failed during the match phase (e.g. a worker thread of
     /// a parallel matcher died).
     Match(MatchError),
+    /// Captured interpreter state that cannot be restored (e.g. a next
+    /// time tag not beyond every live one).
+    InvalidState(String),
 }
 
 impl fmt::Display for OpsError {
@@ -94,6 +97,7 @@ impl fmt::Display for OpsError {
                 write!(f, "(call {name}) but no such function is registered")
             }
             OpsError::Match(e) => write!(f, "match phase failed: {e}"),
+            OpsError::InvalidState(msg) => write!(f, "invalid interpreter state: {msg}"),
         }
     }
 }

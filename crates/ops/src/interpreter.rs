@@ -208,8 +208,10 @@ impl<M: Matcher> Interpreter<M> {
         mut matcher: M,
         state: InterpreterState,
     ) -> Result<Self, OpsError> {
+        // Validate before replaying anything into the matcher.
+        let wm = WorkingMemory::from_parts(state.wm, state.next_id)?;
         let mut visible: std::collections::BTreeMap<WmeId, Wme> =
-            state.wm.iter().cloned().collect();
+            wm.iter().map(|(id, w)| (id, w.clone())).collect();
         // A pending add+remove *pair* of one id is a WME the matcher never
         // saw (and never will: `take_batch` cancels the pair on the next
         // step) — it must not leak into the replay batch via the Minus arm.
@@ -235,7 +237,7 @@ impl<M: Matcher> Interpreter<M> {
         Ok(Interpreter {
             program,
             strategy: state.strategy,
-            wm: WorkingMemory::from_parts(state.wm, state.next_id),
+            wm,
             matcher,
             fired_keys: state.fired_keys.into_iter().collect(),
             pending: state.pending,

@@ -5,6 +5,7 @@
 //! doubles as its OPS5 *time tag* — conflict resolution compares recency via
 //! these ids, and Rete tokens identify their constituent WMEs by id.
 
+use crate::error::OpsError;
 use crate::symbol::{intern, Symbol};
 use crate::value::Value;
 use std::collections::BTreeMap;
@@ -166,17 +167,19 @@ impl WorkingMemory {
 
     /// Rebuild a working memory from live `(id, wme)` pairs and the next
     /// time tag to hand out — the restore half of session snapshotting.
-    /// `next_id` must be beyond every live id so time tags stay unique.
-    pub fn from_parts(elements: impl IntoIterator<Item = (WmeId, Wme)>, next_id: u64) -> Self {
+    /// `next_id` must be beyond every live id so time tags stay unique;
+    /// restored state is untrusted input, so a violation is an error.
+    pub fn from_parts(
+        elements: impl IntoIterator<Item = (WmeId, Wme)>,
+        next_id: u64,
+    ) -> Result<Self, OpsError> {
         let elements: BTreeMap<WmeId, Wme> = elements.into_iter().collect();
-        assert!(
-            elements
-                .keys()
-                .next_back()
-                .is_none_or(|last| last.0 < next_id),
-            "next_id must exceed every live time tag"
-        );
-        WorkingMemory { elements, next_id }
+        match elements.keys().next_back() {
+            Some(last) if last.0 >= next_id => Err(OpsError::InvalidState(format!(
+                "next time tag {next_id} does not exceed live time tag {last}"
+            ))),
+            _ => Ok(WorkingMemory { elements, next_id }),
+        }
     }
 
     /// Insert a WME, assigning it a fresh time tag.
@@ -221,6 +224,17 @@ impl WorkingMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn from_parts_rejects_a_next_id_not_beyond_every_live_tag() {
+        let live = || [(WmeId(3), Wme::new("a", &[]))];
+        assert_eq!(
+            WorkingMemory::from_parts(live(), 4).unwrap().next_id(),
+            WmeId(4)
+        );
+        let stale = WorkingMemory::from_parts(live(), 3);
+        assert!(matches!(stale, Err(OpsError::InvalidState(_))));
+    }
 
     fn block(name: &str, color: &str) -> Wme {
         Wme::new("block", &[("name", name.into()), ("color", color.into())])

@@ -40,7 +40,7 @@ pub use network::{
     AlphaNode, CompileOptions, JoinNode, NetworkStats, NodeId, NodeKind, NodeLayout,
     ProductionNode, ReteNetwork, Side, VarRef,
 };
-pub use token::{BetaToken, Bindings, FlatToken, TokenArena, TokenId};
+pub use token::{FlatToken, TokenArena, TokenId};
 pub use trace::{ActKind, ActivationId, ActivationRecord, Trace, TraceCycle, TraceStats};
 pub use transform::{
     copy_and_constrain, rewrite, split_fanout, suggest_plan, unshare, SplitFanoutOptions,

@@ -13,7 +13,6 @@
 //! shares two-input nodes between productions with structurally identical
 //! CE prefixes — the *sharing* that §5.2.1's unsharing transform removes.
 
-use crate::token::Bindings;
 use mpps_ops::{
     ConditionElement, OpsError, Predicate, Production, ProductionId, Program, Symbol, TestKind,
     Value, Wme,
@@ -142,47 +141,12 @@ pub struct JoinSpec {
 }
 
 impl JoinSpec {
-    /// Does `(token, wme)` pass all variable tests?
-    pub fn passes(&self, bindings: &Bindings, wme: &Wme) -> bool {
-        self.eq_checks
-            .iter()
-            .all(|&(var, attr)| match (bindings.get(var), wme.get(attr)) {
-                (Some(b), Some(w)) => b == w,
-                _ => false,
-            })
-            && self.pred_checks.iter().all(|&(var, pred, attr)| {
-                match (bindings.get(var), wme.get(attr)) {
-                    (Some(b), Some(w)) => pred.eval(w, b),
-                    _ => false,
-                }
-            })
-    }
-
-    /// Hash-signature values of a left token: the bindings of the
-    /// equality-tested variables, in signature order.
-    pub fn left_hash_values<'a>(
-        &'a self,
-        bindings: &'a Bindings,
-    ) -> impl Iterator<Item = Value> + 'a {
-        self.eq_checks
-            .iter()
-            .map(move |&(var, _)| bindings.get(var).expect("eq-tested variable must be bound"))
-    }
-
     /// Hash-signature values of a right WME: the attribute values matched
     /// against the equality-tested variables, in signature order.
     pub fn right_hash_values<'a>(&'a self, wme: &'a Wme) -> impl Iterator<Item = Value> + 'a {
         self.eq_checks
             .iter()
             .map(move |&(_, attr)| wme.get(attr).expect("alpha guaranteed attribute presence"))
-    }
-
-    /// Extract the fresh bindings `(var, value)` a right WME contributes.
-    pub fn extract_binds(&self, wme: &Wme) -> Vec<(Symbol, Value)> {
-        self.binds
-            .iter()
-            .map(|&(var, attr)| (var, wme.get(attr).expect("alpha guaranteed presence")))
-            .collect()
     }
 }
 

@@ -59,7 +59,7 @@ use crate::ServerError;
 use crossbeam::channel::{self, Receiver, Sender};
 use mpps_core::Partition;
 use mpps_ops::{Program, RunOutcome, Strategy, Wme, WmeId};
-use mpps_rete::{suggest_plan, EngineConfig, ReteNetwork, SuggestOptions};
+use mpps_rete::{EngineConfig, ReteNetwork};
 use mpps_telemetry::{MetricSink, MetricsRegistry};
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -131,13 +131,6 @@ pub struct ServerConfig {
     pub max_cycles_per_batch: usize,
     /// How many admissions between greedy-partition rebuilds.
     pub greedy_rebuild_interval: u64,
-    /// Compile the shared network through the *static* suggested
-    /// transform plan ([`mpps_rete::suggest_plan`] with no activation or
-    /// WME sample): hot cross-product joins are unshared so sessions do
-    /// not serialize on one bucket. Split boundaries need a WME sample
-    /// the server does not have, so splits stay off here — `mpps run
-    /// --adapt` is the full loop.
-    pub adapt: bool,
     /// Maximum sessions held live in memory **per worker**; the rest are
     /// snapshotted to disk and faulted back in on demand. `None` keeps
     /// everything resident (the pre-eviction behavior).
@@ -163,7 +156,6 @@ impl Default for ServerConfig {
             },
             max_cycles_per_batch: 4096,
             greedy_rebuild_interval: 64,
-            adapt: false,
             resident_budget: None,
             evict_dir: None,
         }
@@ -407,8 +399,6 @@ pub struct Server {
 
 impl Server {
     /// Validate `config`, compile `program` and spawn the worker pool.
-    /// With [`ServerConfig::adapt`] the shared network is compiled through
-    /// the static suggested transform plan instead of the plain compile.
     ///
     /// Degenerate configurations (`workers == 0`, `shards == 0`,
     /// `queue_capacity == 0`) are rejected with [`ServerError::Config`] —
@@ -425,20 +415,9 @@ impl Server {
                 "queue capacity must be at least 1".into(),
             ));
         }
-        let engine = |e: mpps_ops::OpsError| ServerError::Engine(e.to_string());
-        let network = if config.adapt {
-            let net = ReteNetwork::compile(&program).map_err(engine)?;
-            let plan = suggest_plan(
-                &net,
-                &program,
-                &std::collections::BTreeMap::new(),
-                &[],
-                &SuggestOptions::default(),
-            );
-            Arc::new(ReteNetwork::compile_planned(&program, net.options(), &plan).map_err(engine)?)
-        } else {
-            Arc::new(ReteNetwork::compile(&program).map_err(engine)?)
-        };
+        let network = Arc::new(
+            ReteNetwork::compile(&program).map_err(|e| ServerError::Engine(e.to_string()))?,
+        );
         let fingerprint = program_fingerprint(&program);
         let program = Arc::new(program);
         let workers = config.workers;
@@ -1142,7 +1121,7 @@ fn worker_loop(ctx: WorkerCtx, rx: Receiver<Request>) {
                 request,
                 bytes,
             } => Some(
-                match admit_bytes(&ctx, &mut table, session, request, &bytes) {
+                match admit_bytes(&ctx, &mut metrics, &mut table, session, request, &bytes) {
                     Ok(reply) => {
                         metrics.add("serve.sessions_restored", wid, 1);
                         sweep = table.enforce_budget();
@@ -1156,7 +1135,7 @@ fn worker_loop(ctx: WorkerCtx, rx: Receiver<Request>) {
                 request,
                 bytes,
             } => Some(
-                match admit_bytes(&ctx, &mut table, session, request, &bytes) {
+                match admit_bytes(&ctx, &mut metrics, &mut table, session, request, &bytes) {
                     Ok(reply) => {
                         metrics.add("serve.sessions_adopted", wid, 1);
                         sweep = table.enforce_budget();
@@ -1174,6 +1153,7 @@ fn worker_loop(ctx: WorkerCtx, rx: Receiver<Request>) {
                 Ok((s, faulted)) => {
                     if faulted {
                         metrics.add("serve.faultins", wid, 1);
+                        metrics.add("serve.replay_changes", wid, s.take_replay_changes() as u64);
                     }
                     let reply = settle_into(&ctx, &mut metrics, s, session, request, wmes, false);
                     sweep = table.enforce_budget();
@@ -1189,6 +1169,7 @@ fn worker_loop(ctx: WorkerCtx, rx: Receiver<Request>) {
                 Ok((s, faulted)) => {
                     if faulted {
                         metrics.add("serve.faultins", wid, 1);
+                        metrics.add("serve.replay_changes", wid, s.take_replay_changes() as u64);
                     }
                     let reply = match s.remove(id) {
                         Err(e) => fail(session, request, e.to_string()),
@@ -1281,6 +1262,7 @@ fn worker_loop(ctx: WorkerCtx, rx: Receiver<Request>) {
 /// `Err` so callers can skip their success-path metrics.
 fn admit_bytes(
     ctx: &WorkerCtx,
+    metrics: &mut MetricsRegistry,
     table: &mut SessionTable,
     session: SessionId,
     request: RequestId,
@@ -1293,14 +1275,18 @@ fn admit_bytes(
         ctx.fingerprint,
         bytes,
     ) {
-        Ok(s) => match table.insert(session, s) {
-            Ok(()) => Ok(Reply::Ready {
-                session,
-                request,
-                worker: ctx.index,
-            }),
-            Err(e) => Err(fail(session, request, e.to_string())),
-        },
+        Ok(mut s) => {
+            let replayed = s.take_replay_changes() as u64;
+            metrics.add("serve.replay_changes", ctx.index as u64, replayed);
+            match table.insert(session, s) {
+                Ok(()) => Ok(Reply::Ready {
+                    session,
+                    request,
+                    worker: ctx.index,
+                }),
+                Err(e) => Err(fail(session, request, e.to_string())),
+            }
+        }
         Err(e) => Err(fail(session, request, e.to_string())),
     }
 }

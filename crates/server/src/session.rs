@@ -60,6 +60,9 @@ pub struct Session {
     engine: EngineConfig,
     fingerprint: u64,
     interp: Interpreter<ReteMatcher>,
+    /// WMEs replayed into the fresh matcher by [`Session::restore`], not
+    /// yet reported (see [`Session::take_replay_changes`]).
+    replayed: usize,
 }
 
 impl Session {
@@ -82,6 +85,7 @@ impl Session {
             network,
             engine,
             fingerprint,
+            replayed: 0,
         }
     }
 
@@ -119,8 +123,11 @@ impl Session {
 
     /// Rebuild a session from snapshot bytes on a *fresh* matcher over
     /// the (shared) compiled artifacts. Fails if the snapshot was taken
-    /// under a different program, or if replaying the restored WM into
-    /// the matcher errors.
+    /// under a different program, if its state is inconsistent, or if
+    /// replaying the restored WM into the matcher errors. The replay batch
+    /// is restore work, not ingested changes: it is kept out of what
+    /// [`Session::run`] counts and reported by
+    /// [`Session::take_replay_changes`] instead.
     pub fn restore(
         program: Arc<Program>,
         network: Arc<ReteNetwork>,
@@ -130,15 +137,28 @@ impl Session {
     ) -> Result<Session, ServerError> {
         let state = snapshot::decode(bytes, fingerprint)?;
         let matcher = ReteMatcher::new_shared(Arc::clone(&network), engine);
-        let interp = Interpreter::with_shared_state(Arc::clone(&program), matcher, state)
-            .map_err(|e| ServerError::Engine(e.to_string()))?;
+        let mut interp = Interpreter::with_shared_state(Arc::clone(&program), matcher, state)
+            .map_err(|e| match e {
+                OpsError::InvalidState(_) => {
+                    ServerError::Snapshot(SnapshotError::Corrupt("time tags out of order"))
+                }
+                e => ServerError::Engine(e.to_string()),
+            })?;
+        let replayed = interp.drain_change_log().iter().map(Vec::len).sum();
         Ok(Session {
             interp,
             program,
             network,
             engine,
             fingerprint,
+            replayed,
         })
+    }
+
+    /// How many WMEs the last [`Session::restore`] replayed into the
+    /// matcher; reads 0 once taken.
+    pub fn take_replay_changes(&mut self) -> usize {
+        std::mem::take(&mut self.replayed)
     }
 
     /// Pending (queued, not yet matched) changes — exposed for tests.

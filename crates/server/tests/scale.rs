@@ -216,6 +216,51 @@ fn rebalance_is_a_byte_preserving_fixed_point() {
     }
 }
 
+/// A fault-in replays the session's WM into a fresh matcher; that replay
+/// is restore work, not ingested changes. The first request after it
+/// must report only its own changes — the same count an always-resident
+/// twin reports — and the replay is counted under its own metric.
+#[test]
+fn faultin_replay_is_not_counted_as_ingested_changes() {
+    let cycles = |reply: Reply| match reply {
+        Reply::Cycles { wme_changes, .. } => wme_changes,
+        other => panic!("expected Cycles, got {other:?}"),
+    };
+    let mut server = Server::new(serve::program(), config(1)).unwrap();
+    let mut twin = Server::new(serve::program(), config(1)).unwrap();
+    let (id, request) = server.create_session(serve::initial()).unwrap();
+    ready(&mut server, request);
+    let (twin_id, request) = twin.create_session(serve::initial()).unwrap();
+    ready(&mut twin, request);
+    for round in 0..2 {
+        let request = server.submit(id, serve::round(id.0, round, 3)).unwrap();
+        server.wait_for(request, TIMEOUT).unwrap();
+        let request = twin.submit(twin_id, serve::round(id.0, round, 3)).unwrap();
+        twin.wait_for(request, TIMEOUT).unwrap();
+    }
+
+    let request = server.evict(id).unwrap();
+    assert!(matches!(
+        server.wait_for(request, TIMEOUT).unwrap(),
+        Reply::Evicted { .. }
+    ));
+    let request = server.submit(id, serve::round(id.0, 2, 3)).unwrap();
+    let faulted = cycles(server.wait_for(request, TIMEOUT).unwrap());
+    let request = twin.submit(twin_id, serve::round(id.0, 2, 3)).unwrap();
+    let resident = cycles(twin.wait_for(request, TIMEOUT).unwrap());
+    assert_eq!(faulted, resident, "fault-in replay leaked into wme_changes");
+
+    let metrics = server.metrics(TIMEOUT).unwrap();
+    let twin_metrics = twin.metrics(TIMEOUT).unwrap();
+    assert_eq!(metrics.counter_total("serve.faultins"), 1);
+    assert_eq!(
+        metrics.counter_total("serve.wme_changes"),
+        twin_metrics.counter_total("serve.wme_changes")
+    );
+    assert!(metrics.counter_total("serve.replay_changes") > 0);
+    assert_eq!(twin_metrics.counter_total("serve.replay_changes"), 0);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

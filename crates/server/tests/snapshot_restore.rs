@@ -4,18 +4,20 @@
 //! property-chosen cut point, round-trips through the versioned snapshot
 //! codec onto a **fresh** matcher (as a restore onto a new server would),
 //! and continues. After every subsequent MRA cycle the two must agree on
-//! working memory, the raw conflict set, the fired production, `(write …)`
-//! output and the halt flag — across all builtin workloads and across
-//! fuzzer-generated programs with adversarial add/remove schedules.
+//! everything the difftest oracle compares (the step outcome, the conflict
+//! set, working memory, the halt flag) and on `(write …)` output — across
+//! all builtin workloads and across fuzzer-generated programs with
+//! adversarial add/remove schedules.
 
-use mpps_difftest::{generate_case, GenConfig, ScheduleOp};
-use mpps_ops::interpreter::StepOutcome;
-use mpps_ops::{
-    sort_conflict_set, Instantiation, Interpreter, Matcher, Program, Strategy, Wme, WmeId,
+use mpps_difftest::{
+    compare_cycle, generate_case, replay, replay_one, Flow, FuzzCase, GenConfig, Replay, ScheduleOp,
 };
+use mpps_ops::{Interpreter, Program, Strategy, Wme};
 use mpps_rete::{EngineConfig, ReteMatcher, ReteNetwork};
-use mpps_server::program_fingerprint;
 use mpps_server::snapshot::{decode, encode};
+use mpps_server::{
+    program_fingerprint, Reply, Server, ServerConfig, ServerError, Session, SnapshotError,
+};
 use mpps_workloads::{rubik, serve, tourney, weaver};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -54,63 +56,25 @@ fn roundtrip(
     .expect("restore replays cleanly")
 }
 
-type Observation = (Vec<(WmeId, Wme)>, Vec<Instantiation>, bool, usize);
-
-fn observe(i: &Interpreter<ReteMatcher>) -> Observation {
-    let wm = i
-        .working_memory()
-        .iter()
-        .map(|(id, w)| (id, w.clone()))
-        .collect();
-    let mut cs = i.matcher().conflict_set();
-    sort_conflict_set(&mut cs);
-    (wm, cs, i.is_halted(), i.output().len())
-}
-
-/// Step both interpreters once and compare everything observable.
-/// Returns true when both went quiescent.
-fn lockstep(
-    oracle: &mut Interpreter<ReteMatcher>,
-    subject: &mut Interpreter<ReteMatcher>,
-    at: &str,
-) -> bool {
-    let a = oracle.step().expect("oracle step");
-    let b = subject.step().expect("subject step");
-    match (&a, &b) {
-        (StepOutcome::Fired(x), StepOutcome::Fired(y)) => {
-            assert_eq!(x.production, y.production, "{at}: fired different rules");
-            assert_eq!(x.wme_ids, y.wme_ids, "{at}: fired on different WMEs");
-        }
-        (StepOutcome::Quiescent, StepOutcome::Quiescent) => {}
-        _ => panic!("{at}: one side fired, the other went quiescent"),
-    }
-    assert_eq!(observe(oracle), observe(subject), "{at}: state diverged");
-    assert_eq!(oracle.output(), subject.output(), "{at}: outputs diverged");
-    matches!(a, StepOutcome::Quiescent)
-}
-
-/// Run `program` from `initial`, cutting the subject at cycle `cut`.
-fn check_workload(program: Program, initial: Vec<Wme>, cut: usize, max_cycles: usize) {
-    let program = Arc::new(program);
+/// Replay `case`, round-tripping the subject through a snapshot before
+/// cycle `cut`; if the run ends first, the final state is round-tripped
+/// and both sides run one more cycle in lockstep.
+fn check_case(case: &FuzzCase, cut: usize, label: &str) {
+    let program = Arc::new(case.program().expect("valid program"));
     let network = Arc::new(ReteNetwork::compile(&program).expect("compiles"));
-    let mut oracle = fresh(&program, &network, Strategy::Lex);
-    let mut subject = fresh(&program, &network, Strategy::Lex);
-    for wme in &initial {
-        oracle.add_wme(wme.clone());
-        subject.add_wme(wme.clone());
-    }
-    for step in 0..max_cycles {
-        if step == cut {
-            subject = roundtrip(&subject, &program, &network);
-        }
-        if lockstep(
-            &mut oracle,
-            &mut subject,
-            &format!("cycle {step} (cut {cut})"),
-        ) || oracle.is_halted()
-        {
-            return;
-        }
+    let mut pair = CutPair {
+        oracle: fresh(&program, &network, case.strategy),
+        subject: fresh(&program, &network, case.strategy),
+        program,
+        network,
+        cut: Some(cut),
+        label: label.to_owned(),
+    };
+    let Ok(()) = replay(&case.schedule, &mut pair);
+    if pair.cut.is_some() {
+        let cycle = pair.subject.cycles();
+        pair.cut = Some(cycle);
+        let Ok(_) = pair.fire(case.schedule.rounds.len(), cycle + 1);
     }
 }
 
@@ -136,65 +100,53 @@ proptest! {
     #[test]
     fn builtin_workloads_survive_snapshot(which in 0usize..4, cut in 0usize..32) {
         let (program, initial) = builtin(which);
-        check_workload(program, initial, cut, 48);
+        let case = FuzzCase::workload(&program, initial, Strategy::Lex, 48);
+        check_case(&case, cut, &format!("workload {which} cut {cut}"));
     }
 
     /// Fuzzer-generated programs (negations, removals, both strategies)
-    /// with external add/remove schedules between quiescent settles.
+    /// with external add/remove schedules.
     #[test]
     fn fuzzer_programs_survive_snapshot(seed in 0u64..400, cut in 0usize..24) {
         let case = generate_case(seed, &GenConfig::default());
-        let Ok(program) = case.program() else { return; };
-        let program = Arc::new(program);
-        let network = Arc::new(ReteNetwork::compile(&program).expect("compiles"));
-        let mut oracle = fresh(&program, &network, case.strategy);
-        let mut subject = fresh(&program, &network, case.strategy);
-        let mut steps = 0usize;
-        let mut cut_done = false;
-        'rounds: for (round, ops) in case.schedule.rounds.iter().enumerate() {
-            for op in ops {
-                match op {
-                    ScheduleOp::Make(wme) => {
-                        oracle.add_wme(wme.clone());
-                        subject.add_wme(wme.clone());
-                    }
-                    ScheduleOp::RemoveNth(n) => {
-                        let live: Vec<WmeId> =
-                            oracle.working_memory().iter().map(|(id, _)| id).collect();
-                        if live.is_empty() {
-                            continue;
-                        }
-                        let id = live[n % live.len()];
-                        oracle.remove_wme(id).expect("oracle remove");
-                        subject.remove_wme(id).expect("subject remove");
-                    }
-                }
-            }
-            // Settle to quiescence, cutting the subject once at `cut`.
-            for _ in 0..64 {
-                if steps == cut && !cut_done {
-                    subject = roundtrip(&subject, &program, &network);
-                    cut_done = true;
-                }
-                steps += 1;
-                if lockstep(
-                    &mut oracle,
-                    &mut subject,
-                    &format!("seed {seed} round {round} step {steps}"),
-                ) {
-                    break;
-                }
-                if oracle.is_halted() {
-                    break 'rounds;
-                }
-            }
+        check_case(&case, cut, &format!("seed {seed} cut {cut}"));
+    }
+}
+
+/// An oracle and a subject replaying one schedule in lockstep; the
+/// subject is round-tripped through a snapshot once, before cycle `cut`.
+struct CutPair {
+    oracle: Interpreter<ReteMatcher>,
+    subject: Interpreter<ReteMatcher>,
+    program: Arc<Program>,
+    network: Arc<ReteNetwork>,
+    cut: Option<usize>,
+    label: String,
+}
+
+impl Replay for CutPair {
+    type Stop = std::convert::Infallible;
+
+    fn apply(&mut self, op: &ScheduleOp, round: usize, cycle: usize) -> Result<(), Self::Stop> {
+        // Both sides resolve `RemoveNth` against their own WM, which
+        // `lockstep` holds equal after every cycle.
+        self.oracle.apply(op, round, cycle)?;
+        self.subject.apply(op, round, cycle)
+    }
+
+    fn fire(&mut self, round: usize, cycle: usize) -> Result<Flow, Self::Stop> {
+        if self.cut == Some(cycle - 1) {
+            self.subject = roundtrip(&self.subject, &self.program, &self.network);
+            self.cut = None;
         }
-        // If the run was shorter than the cut, still prove the final
-        // state survives a round-trip.
-        if !cut_done {
-            let restored = roundtrip(&subject, &program, &network);
-            prop_assert_eq!(observe(&subject), observe(&restored));
+        let (a, b) = (self.oracle.step(), self.subject.step());
+        let at = format!("{} round {round} cycle {cycle}", self.label);
+        if let Some(detail) = compare_cycle(&self.oracle, &a, &self.subject, &b) {
+            panic!("{at}: {detail}");
         }
+        let outputs = (self.oracle.output(), self.subject.output());
+        assert_eq!(outputs.0, outputs.1, "{at}: outputs diverged");
+        Ok(Flow::of(&a, self.oracle.is_halted()))
     }
 }
 
@@ -215,4 +167,66 @@ fn halted_sessions_stay_halted() {
     let again = restored.run(10).unwrap();
     assert_eq!(again.outcome, mpps_ops::RunOutcome::Halted);
     assert_eq!(again.cycles, 0);
+}
+
+/// Agreement over a long horizon: Rubik turns the cube once per cycle
+/// for 60 moves, and the subject is cut early, midway and late.
+#[test]
+fn rubik_survives_snapshot_over_sixty_cycles() {
+    let program = rubik::program();
+    let initial = rubik::initial(&rubik::alternating_moves(60));
+    let case = FuzzCase::workload(&program, initial, Strategy::Lex, 64);
+    let run = replay_one(&case, ReteMatcher::from_program).unwrap();
+    assert!(
+        run.cycles() >= 60,
+        "rubik stopped after {} cycles",
+        run.cycles()
+    );
+    for cut in [2, 30, 58] {
+        check_case(&case, cut, &format!("rubik cut {cut}"));
+    }
+}
+
+/// A snapshot whose next time tag does not exceed a live one is corrupt
+/// input: restoring it yields a typed error, and the worker that read it
+/// keeps serving.
+#[test]
+fn snapshot_with_stale_next_time_tag_is_a_typed_error() {
+    let program = serve::program();
+    let fp = program_fingerprint(&program);
+    let mut interp = Interpreter::with_matcher(
+        program.clone(),
+        Strategy::Lex,
+        ReteMatcher::from_program(&program).unwrap(),
+    );
+    for wme in serve::initial() {
+        interp.add_wme(wme);
+    }
+    interp.run(8).unwrap();
+    let mut state = interp.export_state();
+    state.next_id = state.wm.last().expect("live WM").0 .0;
+    let bytes = encode(&state, fp).expect("encodes");
+    let network = Arc::new(ReteNetwork::compile(&program).unwrap());
+    let restored = Session::restore(Arc::new(program.clone()), network, ENGINE, fp, &bytes);
+    assert!(matches!(
+        restored,
+        Err(ServerError::Snapshot(SnapshotError::Corrupt(_)))
+    ));
+
+    let config = ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    };
+    let mut server = Server::new(program, config).unwrap();
+    let (_, request) = server.restore(bytes).unwrap();
+    let timeout = std::time::Duration::from_secs(30);
+    match server.wait_for(request, timeout).unwrap() {
+        Reply::Failed { error, .. } => assert!(error.contains("corrupt"), "{error}"),
+        other => panic!("expected Failed, got {other:?}"),
+    }
+    let (_, request) = server.create_session(serve::initial()).unwrap();
+    assert!(matches!(
+        server.wait_for(request, timeout).unwrap(),
+        Reply::Ready { .. }
+    ));
 }

@@ -5,9 +5,10 @@
 //! cut out *characteristic sections* (a few consecutive cycles). This
 //! module does the same for the runnable rulesets in this crate: execute a
 //! program under the MRA interpreter with a tracing Rete matcher, and
-//! return the recorded trace alongside the run outcome.
+//! return the recorded trace alongside the run outcome and the per-cycle
+//! change batches — the one replay-capture helper in the workspace.
 
-use mpps_ops::{Interpreter, OpsError, Program, RunResult, Strategy, Wme};
+use mpps_ops::{Interpreter, OpsError, Program, RunResult, Strategy, Wme, WmeChange};
 use mpps_rete::{EngineConfig, ReteMatcher, ReteNetwork, Trace};
 
 /// A completed run with its activation trace.
@@ -18,6 +19,9 @@ pub struct CapturedRun {
     pub result: RunResult,
     /// Final working-memory size.
     pub wm_len: usize,
+    /// The WM change batch the interpreter handed the matcher each cycle,
+    /// for replaying the run into other matchers.
+    pub batches: Vec<Vec<WmeChange>>,
 }
 
 /// Run `program` from `initial` working memory for up to `max_cycles`
@@ -57,6 +61,7 @@ pub fn capture_trace_on(
     }
     let result = interp.run(max_cycles)?;
     let wm_len = interp.working_memory().len();
+    let batches = interp.drain_change_log();
     let trace = interp
         .matcher_mut()
         .take_trace()
@@ -65,6 +70,7 @@ pub fn capture_trace_on(
         trace,
         result,
         wm_len,
+        batches,
     })
 }
 
@@ -91,6 +97,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(run.trace.cycles.len(), run.result.cycles);
+        assert_eq!(run.batches.len(), run.result.cycles);
         assert_eq!(run.result.fired.len(), 2);
         assert!(run.trace.stats().total() > 0);
         assert_eq!(run.wm_len, 1);

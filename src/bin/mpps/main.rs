@@ -16,7 +16,7 @@
 //! mpps serve (--synthetic | --script FILE) [--program FILE|rubik|tourney|weaver]
 //!           [--sessions N] [--rounds N] [--wmes N] [--workers N] [--queue N]
 //!           [--shards N] [--sharding rr|random[:SEED]|greedy] [--strategy lex|mea]
-//!           [--table-size N] [--stats] [--adapt]
+//!           [--table-size N] [--stats]
 //!           [--resident-budget N] [--evict-dir DIR] [--migrate]
 //! ```
 //!
@@ -70,9 +70,7 @@
 //! cannot spread, the transformed network runs under the threaded matcher
 //! with the online repartitioner enabled, and the before/after bucket
 //! skew factors plus every rebalance event are reported on stderr. The
-//! run's stdout is unchanged. `mpps serve --adapt` applies the static
-//! (unshare-only) suggested plan at compile time — the server has no WME
-//! sample to derive split boundaries from.
+//! run's stdout is unchanged.
 //!
 //! `mpps serve` runs the rule-engine-as-a-service layer: one compiled
 //! program multiplexed across many independent working-memory sessions on
@@ -94,10 +92,10 @@ use mpps::core::{
     OverheadSetting, Partition, SimScratch, ThreadedMatcher,
 };
 use mpps::core::{bucket_skew_factor, name_threaded_tracks, render_match_profile};
-use mpps::difftest::{fuzz_one, write_repro, FuzzCase, GenConfig, MatcherKind, ScheduleOp};
+use mpps::difftest::{fuzz_one, profile_case, write_repro, GenConfig, MatcherKind};
 use mpps::ops::{
-    interpreter::StepOutcome, parse_program, parse_wme, Interpreter, Matcher, NaiveMatcher,
-    Program, Strategy, TreatMatcher, Wme, WmeId,
+    parse_program, parse_wme, Interpreter, Matcher, NaiveMatcher, Program, Strategy, TreatMatcher,
+    Wme,
 };
 use mpps::rete::{
     kernel, suggest_plan, CompileOptions, EngineConfig, ReteMatcher, ReteNetwork, SuggestOptions,
@@ -105,7 +103,7 @@ use mpps::rete::{
 };
 use mpps::server::{run_script, run_synthetic, ServerConfig, Sharding, SyntheticSpec};
 use mpps::telemetry::{chrome::chrome_trace, MetricsRegistry, TraceRecorder};
-use mpps::workloads::{rubik, serve, tourney, weaver};
+use mpps::workloads::{capture_trace, rubik, serve, tourney, weaver};
 use std::process::exit;
 
 /// One usage line per subcommand, shared by the full `usage()` dump and
@@ -141,7 +139,7 @@ const USAGE_LINES: &[(&str, &str)] = &[
          \x20          [--sessions N] [--rounds N] [--wmes N]\n\
          \x20          [--workers N] [--queue N] [--shards N]\n\
          \x20          [--sharding rr|random[:SEED]|greedy] [--strategy lex|mea]\n\
-         \x20          [--table-size N] [--stats] [--adapt]\n\
+         \x20          [--table-size N] [--stats]\n\
          \x20          [--resident-budget N] [--evict-dir DIR] [--migrate]",
     ),
 ];
@@ -294,31 +292,16 @@ fn run_with<M: Matcher>(
 /// measures per-bucket activity, then buckets are placed longest-first on
 /// the least-loaded worker.
 fn greedy_partition(
-    program: &mpps::ops::Program,
+    program: &Program,
     wmes: &[Wme],
     strategy: Strategy,
     cycles: usize,
     table_size: u64,
     workers: usize,
 ) -> Partition {
-    let network = ReteNetwork::compile(program).unwrap_or_else(|e| fail(e));
-    let matcher = ReteMatcher::new(
-        network,
-        EngineConfig {
-            table_size,
-            record_trace: true,
-        },
-    );
-    let mut interp = Interpreter::with_matcher(program.clone(), strategy, matcher);
-    for w in wmes {
-        interp.add_wme(w.clone());
-    }
-    interp.run(cycles).unwrap_or_else(|e| fail(e));
-    let trace = interp
-        .matcher_mut()
-        .take_trace()
-        .expect("tracing was enabled");
-    Partition::greedy(&bucket_activity(&trace), workers)
+    let run = capture_trace(program.clone(), wmes.to_vec(), strategy, cycles, table_size)
+        .unwrap_or_else(|e| fail(e));
+    Partition::greedy(&bucket_activity(&run.trace), workers)
 }
 
 /// `--adapt`: profiled sequential pre-run → suggested transform plan →
@@ -560,76 +543,6 @@ fn cmd_run(args: &Args) {
     }
 }
 
-/// Drive one fuzz case's schedule through a single matcher, mirroring
-/// the oracle's cadence (same per-round and total cycle bounds), for
-/// profiling purposes only — nothing is compared. `RemoveNth` resolves
-/// against this lane's own WM, which matches the oracle whenever the
-/// matchers agree (and is merely a different valid schedule when not).
-fn drive_for_profile<M: Matcher>(case: &FuzzCase, program: &Program, matcher: M) -> Interpreter<M> {
-    const MAX_STEPS_PER_ROUND: usize = 8;
-    const MAX_TOTAL_CYCLES: usize = 64;
-    let mut interp = Interpreter::with_matcher(program.clone(), case.strategy, matcher);
-    let mut total_cycles = 0usize;
-    'rounds: for ops in &case.schedule.rounds {
-        for op in ops {
-            match op {
-                ScheduleOp::Make(wme) => {
-                    interp.add_wme(wme.clone());
-                }
-                ScheduleOp::RemoveNth(n) => {
-                    let ids: Vec<WmeId> =
-                        interp.working_memory().iter().map(|(id, _)| id).collect();
-                    if ids.is_empty() {
-                        continue;
-                    }
-                    let _ = interp.remove_wme(ids[n % ids.len()]);
-                }
-            }
-        }
-        for _ in 0..MAX_STEPS_PER_ROUND {
-            if total_cycles >= MAX_TOTAL_CYCLES {
-                break 'rounds;
-            }
-            total_cycles += 1;
-            match interp.step() {
-                Ok(StepOutcome::Quiescent) | Err(_) => break,
-                Ok(_) => {}
-            }
-            if interp.is_halted() {
-                break 'rounds;
-            }
-        }
-        if interp.is_halted() {
-            break;
-        }
-    }
-    interp
-}
-
-/// Replay `case` under every profiled matcher and merge their registries
-/// into `merged`. Threaded replay uses `try_process` semantics via the
-/// interpreter; a build failure (invalid generated program) skips the
-/// case.
-fn replay_profiled(case: &FuzzCase, merged: &mut MetricsRegistry) {
-    let Ok(program) = case.program() else {
-        return;
-    };
-    if let Ok(network) = ReteNetwork::compile(&program) {
-        let m = ReteMatcher::with_metrics(network, EngineConfig::default(), MetricsRegistry::new());
-        let mut interp = drive_for_profile(case, &program, m);
-        merged.merge(&interp.matcher_mut().profile());
-    }
-    let m = TreatMatcher::with_metrics(&program, MetricsRegistry::new());
-    let interp = drive_for_profile(case, &program, m);
-    merged.merge(&interp.matcher().profile());
-    if let Ok(m) = ThreadedMatcher::from_program_profiled(&program, 2) {
-        let mut interp = drive_for_profile(case, &program, m);
-        if let Ok(reg) = interp.matcher_mut().profile_snapshot() {
-            merged.merge(&reg);
-        }
-    }
-}
-
 fn cmd_fuzz(args: &Args) {
     check_flags(
         "fuzz",
@@ -651,6 +564,7 @@ fn cmd_fuzz(args: &Args) {
     let iters = args.get_parse("iters", 100u64);
     let matchers = MatcherKind::parse_list(args.get("matchers").unwrap_or("all"))
         .unwrap_or_else(|e| usage_error(e));
+    let lanes = MatcherKind::lanes(&matchers);
     let cfg = GenConfig {
         max_productions: args.get_parse("max-productions", 4usize).max(1),
         ..GenConfig::default()
@@ -662,9 +576,11 @@ fn cmd_fuzz(args: &Args) {
     let mut divergences = 0u64;
     for i in 0..iters {
         let case_seed = seed + i;
-        let (case, divergence) = fuzz_one(case_seed, &cfg, &matchers, do_shrink);
+        let (case, divergence) = fuzz_one(case_seed, &cfg, &lanes, do_shrink);
         if let Some(merged) = profile.as_mut() {
-            replay_profiled(&case, merged);
+            // Profiling is best-effort: a case whose program fails to
+            // build adds nothing to the merged registry.
+            let _ = profile_case(&case, merged);
         }
         if let Some(d) = divergence {
             divergences += 1;
@@ -710,23 +626,9 @@ fn cmd_trace(args: &Args) {
     let cycles = args.get_parse("cycles", 10_000usize);
     let table_size = args.get_parse("table-size", 2048u64);
     let strategy = strategy_of(args);
-    let network = ReteNetwork::compile(&program).unwrap_or_else(|e| fail(e));
-    let matcher = ReteMatcher::new(
-        network,
-        EngineConfig {
-            table_size,
-            record_trace: true,
-        },
-    );
-    let mut interp = Interpreter::with_matcher(program, strategy, matcher);
-    for w in wmes {
-        interp.add_wme(w);
-    }
-    let result = interp.run(cycles).unwrap_or_else(|e| fail(e));
-    let trace = interp
-        .matcher_mut()
-        .take_trace()
-        .expect("tracing was enabled");
+    let run =
+        capture_trace(program, wmes, strategy, cycles, table_size).unwrap_or_else(|e| fail(e));
+    let (trace, result) = (run.trace, run.result);
     let stats = trace.stats();
     eprintln!(
         "{:?}: {} cycles, {} firings; activations: {}",
@@ -875,7 +777,6 @@ fn cmd_serve(args: &Args) {
             "strategy",
             "table-size",
             "stats",
-            "adapt",
             "resident-budget",
             "evict-dir",
             "migrate",
@@ -938,7 +839,6 @@ fn cmd_serve(args: &Args) {
             table_size,
             record_trace: false,
         },
-        adapt: args.get("adapt").is_some(),
         resident_budget,
         evict_dir,
         ..defaults

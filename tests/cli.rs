@@ -708,6 +708,22 @@ fn unknown_flags_are_usage_errors_everywhere() {
     }
 }
 
+/// Only `mpps run` takes `--adapt`; for `mpps serve` it is an unknown
+/// flag like any other.
+#[test]
+fn serve_adapt_is_an_unknown_flag() {
+    let out = mpps()
+        .args(["serve", "--synthetic", "--sessions", "1", "--adapt"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown flag --adapt for `mpps serve`"),
+        "{stderr}"
+    );
+}
+
 #[test]
 fn bad_input_fails_cleanly() {
     let out = mpps().args(["run", "/nonexistent.ops"]).output().unwrap();

@@ -7,7 +7,7 @@
 //! hand). After the corresponding fix they must all agree forever; a
 //! failure here means a regression re-opened a fixed bug.
 
-use mpps::difftest::{load_repro, run_case, MatcherKind};
+use mpps::difftest::{load_repro, profile_case, replay_one, run_case, MatcherKind};
 use std::path::PathBuf;
 
 fn corpus_dir() -> PathBuf {
@@ -66,7 +66,7 @@ fn corpus_replays_without_divergence() {
             "{}: corpus program no longer validates",
             ops.display()
         );
-        if let Some(d) = run_case(&case, &MatcherKind::EXTENDED) {
+        if let Some(d) = run_case(&case, &MatcherKind::lanes(&MatcherKind::EXTENDED)) {
             panic!("{} regressed: {d}", ops.display());
         }
     }
@@ -79,61 +79,14 @@ fn corpus_replays_without_divergence() {
 /// profiling hooks through paths the workload tests never reach.
 #[test]
 fn corpus_replays_cleanly_under_the_profiler() {
-    use mpps::core::ThreadedMatcher;
-    use mpps::difftest::FuzzCase;
-    use mpps::ops::{treat, Interpreter, Matcher, TreatMatcher};
-    use mpps::rete::{kernel, ReteMatcher, ReteNetwork};
+    use mpps::ops::treat;
+    use mpps::rete::kernel;
     use mpps::telemetry::MetricsRegistry;
-
-    fn replay<M: Matcher>(case: &FuzzCase, matcher: M) -> Interpreter<M> {
-        let program = case.program().unwrap();
-        let mut interp = Interpreter::with_matcher(program, case.strategy, matcher);
-        for round in &case.schedule.rounds {
-            for op in round {
-                match op {
-                    mpps::difftest::ScheduleOp::Make(wme) => {
-                        interp.add_wme(wme.clone());
-                    }
-                    mpps::difftest::ScheduleOp::RemoveNth(n) => {
-                        let ids: Vec<_> =
-                            interp.working_memory().iter().map(|(id, _)| id).collect();
-                        if !ids.is_empty() {
-                            interp.remove_wme(ids[n % ids.len()]).unwrap();
-                        }
-                    }
-                }
-            }
-            for _ in 0..8 {
-                match interp.step() {
-                    Ok(mpps::ops::interpreter::StepOutcome::Fired(_)) => {}
-                    _ => break,
-                }
-            }
-        }
-        interp
-    }
 
     for (ops, sched) in corpus_entries() {
         let case = load_repro(&ops, &sched).unwrap();
-        let program = case.program().unwrap();
         let mut merged = MetricsRegistry::new();
-
-        let rete = ReteMatcher::with_metrics(
-            ReteNetwork::compile(&program).unwrap(),
-            mpps::rete::EngineConfig::default(),
-            MetricsRegistry::new(),
-        );
-        let mut interp = replay(&case, rete);
-        merged.merge(&interp.matcher_mut().profile());
-
-        let treat = TreatMatcher::with_metrics(&program, MetricsRegistry::new());
-        let interp = replay(&case, treat);
-        merged.merge(&interp.matcher().profile());
-
-        let threaded = ThreadedMatcher::from_program_profiled(&program, 2).unwrap();
-        let mut interp = replay(&case, threaded);
-        merged.merge(&interp.matcher_mut().profile_snapshot().unwrap());
-
+        profile_case(&case, &mut merged).unwrap_or_else(|e| panic!("{}: {e}", ops.display()));
         assert!(
             merged.counter_total(treat::metric::RULE_ACTIVATIONS) > 0,
             "{}: profiled replay recorded no rule activations",
@@ -157,37 +110,12 @@ fn corpus_replays_cleanly_under_the_profiler() {
 /// parser change).
 #[test]
 fn corpus_entries_are_not_vacuous() {
-    use mpps::ops::{Interpreter, Matcher, NaiveMatcher};
+    use mpps::ops::NaiveMatcher;
     for (ops, sched) in corpus_entries() {
         let case = load_repro(&ops, &sched).unwrap();
-        let program = case.program().unwrap();
-        let naive: Box<dyn Matcher> = Box::new(NaiveMatcher::new(program.clone()));
-        let mut interp = Interpreter::with_matcher(program, case.strategy, naive);
-        let mut fired = 0usize;
-        for round in &case.schedule.rounds {
-            for op in round {
-                match op {
-                    mpps::difftest::ScheduleOp::Make(wme) => {
-                        interp.add_wme(wme.clone());
-                    }
-                    mpps::difftest::ScheduleOp::RemoveNth(n) => {
-                        let ids: Vec<_> =
-                            interp.working_memory().iter().map(|(id, _)| id).collect();
-                        if !ids.is_empty() {
-                            interp.remove_wme(ids[n % ids.len()]).unwrap();
-                        }
-                    }
-                }
-            }
-            for _ in 0..8 {
-                match interp.step() {
-                    Ok(mpps::ops::interpreter::StepOutcome::Fired(_)) => fired += 1,
-                    _ => break,
-                }
-            }
-        }
+        let interp = replay_one(&case, |p| Ok(NaiveMatcher::new(p.clone()))).unwrap();
         assert!(
-            fired > 0,
+            !interp.fired().is_empty(),
             "{}: schedule never fires a production",
             ops.display()
         );

@@ -23,9 +23,10 @@ fn differential_fuzz_smoke() {
     let iters = env_u64("MPPS_FUZZ_ITERS", 25);
     let base_seed = env_u64("MPPS_FUZZ_SEED", 0);
     let cfg = GenConfig::default();
+    let lanes = MatcherKind::lanes(&MatcherKind::EXTENDED);
     for i in 0..iters {
         let seed = base_seed + i;
-        let (case, divergence) = fuzz_one(seed, &cfg, &MatcherKind::EXTENDED, true);
+        let (case, divergence) = fuzz_one(seed, &cfg, &lanes, true);
         if let Some(d) = divergence {
             let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("target/fuzz-repro");
             let (ops, sched) =

@@ -3,82 +3,49 @@
 //! organically captured traces.
 
 use mpps::core::sweep::{baseline, speedup_curve, PartitionStrategy};
-use mpps::core::{simulate, MappingConfig, OverheadSetting, Partition, ThreadedMatcher};
-use mpps::ops::{Interpreter, Matcher, NaiveMatcher, Strategy};
+use mpps::core::{simulate, MappingConfig, OverheadSetting, Partition};
+use mpps::difftest::{run_case, FuzzCase, Lane, MatcherKind};
+use mpps::ops::{Interpreter, Program, Strategy, Wme};
 use mpps::rete::{ReteMatcher, Trace};
 use mpps::workloads::{rubik, tourney, weaver};
 
-/// Run the same program+WM under two interpreters and compare the full
-/// firing sequences and outputs.
-fn assert_same_run<A: Matcher, B: Matcher>(
-    program: mpps::ops::Program,
-    initial: Vec<mpps::ops::Wme>,
-    mk_a: impl FnOnce(&mpps::ops::Program) -> A,
-    mk_b: impl FnOnce(&mpps::ops::Program) -> B,
-    max_cycles: usize,
-) {
-    let a_matcher = mk_a(&program);
-    let b_matcher = mk_b(&program);
-    let mut a = Interpreter::with_matcher(program.clone(), Strategy::Lex, a_matcher);
-    let mut b = Interpreter::with_matcher(program, Strategy::Lex, b_matcher);
-    for w in &initial {
-        a.add_wme(w.clone());
-        b.add_wme(w.clone());
+/// Run a workload through the difftest oracle: every lane must match the
+/// naive reference — firing, conflict set and working memory — cycle for
+/// cycle.
+fn assert_lanes_agree(program: Program, initial: Vec<Wme>, cycles: usize, lanes: Vec<Lane>) {
+    let case = FuzzCase::workload(&program, initial, Strategy::Lex, cycles);
+    if let Some(d) = run_case(&case, &lanes) {
+        panic!("{d}");
     }
-    let ra = a.run(max_cycles).unwrap();
-    let rb = b.run(max_cycles).unwrap();
-    assert_eq!(ra.outcome, rb.outcome);
-    assert_eq!(ra.fired, rb.fired, "identical firing sequences");
-    assert_eq!(a.output(), b.output());
-    assert_eq!(a.working_memory().len(), b.working_memory().len());
 }
 
 #[test]
 fn rubik_runs_identically_on_all_matchers() {
     // Small move count: the naive matcher is exponential in CE count, so
-    // use the observer-free program for the naive comparison.
+    // use the observer-free program.
     let program = rubik::program_with_observers(0);
     let initial = rubik::initial(&rubik::alternating_moves(2));
-    assert_same_run(
-        program.clone(),
-        initial.clone(),
-        |p| ReteMatcher::from_program(p).unwrap(),
-        |p| ThreadedMatcher::from_program(p, 3).unwrap(),
-        20,
-    );
+    let mut lanes = MatcherKind::lanes(&[MatcherKind::Rete, MatcherKind::Treat]);
+    lanes.push(Lane::threaded(3));
+    assert_lanes_agree(program, initial, 20, lanes);
 }
 
 #[test]
 fn tourney_runs_identically_on_naive_and_rete() {
-    assert_same_run(
-        tourney::program(),
-        tourney::initial(4, 4),
-        |p| NaiveMatcher::new(p.clone()),
-        |p| ReteMatcher::from_program(p).unwrap(),
-        40,
-    );
+    let lanes = MatcherKind::lanes(&[MatcherKind::Rete]);
+    assert_lanes_agree(tourney::program(), tourney::initial(4, 4), 40, lanes);
 }
 
 #[test]
 fn tourney_runs_identically_on_rete_and_threaded() {
-    assert_same_run(
-        tourney::program(),
-        tourney::initial(5, 5),
-        |p| ReteMatcher::from_program(p).unwrap(),
-        |p| ThreadedMatcher::from_program(p, 4).unwrap(),
-        60,
-    );
+    let lanes = vec![MatcherKind::Rete.into(), Lane::threaded(4)];
+    assert_lanes_agree(tourney::program(), tourney::initial(5, 5), 60, lanes);
 }
 
 #[test]
 fn weaver_runs_identically_on_naive_and_rete() {
-    assert_same_run(
-        weaver::program(),
-        weaver::initial(4, 2),
-        |p| NaiveMatcher::new(p.clone()),
-        |p| ReteMatcher::from_program(p).unwrap(),
-        40,
-    );
+    let lanes = MatcherKind::lanes(&[MatcherKind::Rete]);
+    assert_lanes_agree(weaver::program(), weaver::initial(4, 2), 40, lanes);
 }
 
 #[test]
@@ -178,16 +145,13 @@ fn unshared_network_reduces_sharing_but_preserves_firings() {
     let unshared = mpps::rete::transform::unshare(&program).unwrap();
     assert!(unshared.stats().shared_two_input <= shared.stats().shared_two_input);
     // Semantics preserved end to end.
-    let initial = tourney::initial(3, 3);
-    let mk =
-        |net: mpps::rete::ReteNetwork| ReteMatcher::new(net, mpps::rete::EngineConfig::default());
-    assert_same_run(
-        program.clone(),
-        initial,
-        |_| mk(shared),
-        |_| mk(unshared),
-        40,
-    );
+    let unshared = Lane::new("rete-unshared", |p| {
+        let network = mpps::rete::transform::unshare(p)?;
+        let config = mpps::rete::EngineConfig::default();
+        Ok(Box::new(ReteMatcher::new(network, config)))
+    });
+    let lanes = vec![MatcherKind::Rete.into(), unshared];
+    assert_lanes_agree(program, tourney::initial(3, 3), 40, lanes);
 }
 #[test]
 fn parallel_firing_on_independent_workloads() {
