@@ -5,11 +5,7 @@
 //! matchkernel --out BENCH_matchkernel.json   # measure + write manifest
 //! matchkernel --check [--max-regress 0.10]   # measure, compare against
 //!                                            # the committed manifest
-//! matchkernel --profile DIR        # replay each section once under the
-//!                                  # profiled kernel, write
-//!                                  # DIR/match_profile.json
-//! matchkernel --check-profile FILE # validate a match_profile.json
-//!                                  # against the v1 schema
+//! matchkernel --samples N          # timed runs per median (default 21)
 //! ```
 //!
 //! Measures the three characteristic sections of the `match_executors`
@@ -18,23 +14,25 @@
 //! captured change batches — exactly as the criterion group does, plus a
 //! compile-only lane so compile and match cost can be tracked apart.
 //!
-//! The manifest (`BENCH_matchkernel.json`, same style as
-//! `BENCH_repro.json`) records the median of `--samples` runs together
-//! with the commit hash, machine info, and the frozen **pre-rework
-//! baselines** measured before the arena/id-keyed-hash kernel landed.
-//! `--check` re-measures and fails (exit 1) if any section regressed
-//! more than `--max-regress` (default 10%) against the committed
-//! medians — the CI gate for the match-kernel speed work.
+//! The manifest (`BENCH_matchkernel.json`, a [`mpps_bench::manifest`]
+//! document) records the median of `--samples` runs together with the
+//! commit hash, machine info, and the frozen **pre-rework baselines**
+//! measured before the arena/id-keyed-hash kernel landed. `--check`
+//! re-measures and fails (exit 1) if any section regressed more than
+//! `--max-regress` (default 10%) against the committed medians — absolute
+//! µs recorded on another host, so the gate measures host noise as much
+//! as the kernel (see ROADMAP).
 //!
 //! `--out` additionally runs the closed-skew-loop scenario
 //! ([`mpps_bench::adapt`]: Tourney cross-product, 8 workers, suggested
 //! copy-and-constraint + online migration vs static greedy) and records
 //! its before/after skew factors in the manifest's `"adapt"` block.
 
+use mpps_bench::manifest::{self, AdaptRecord, KernelSection, Matchkernel};
 use mpps_bench::sections::sections;
+use mpps_bench::Argv;
 use mpps_ops::Matcher;
-use mpps_rete::{EngineConfig, ReteMatcher, ReteNetwork};
-use mpps_telemetry::MetricsRegistry;
+use mpps_rete::{ReteMatcher, ReteNetwork};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -59,14 +57,7 @@ fn median_us(samples: usize, mut f: impl FnMut()) -> f64 {
     times[times.len() / 2]
 }
 
-struct SectionResult {
-    name: &'static str,
-    compile_us: f64,
-    total_us: f64,
-    baseline_us: f64,
-}
-
-fn measure(samples: usize) -> Vec<SectionResult> {
+fn measure(samples: usize) -> Vec<KernelSection> {
     sections()
         .into_iter()
         .map(|(name, program, batches)| {
@@ -80,196 +71,59 @@ fn measure(samples: usize) -> Vec<SectionResult> {
                 }
                 black_box(m.conflict_set().len());
             });
-            let baseline_us = PRE_REWORK_BASELINE_US
+            let pre_rework_us = PRE_REWORK_BASELINE_US
                 .iter()
                 .find(|(n, _)| *n == name)
                 .map(|(_, us)| *us)
                 .unwrap();
-            SectionResult {
-                name,
+            KernelSection {
+                name: name.to_owned(),
                 compile_us,
                 total_us,
-                baseline_us,
+                pre_rework_us,
+                speedup: pre_rework_us / total_us,
             }
         })
         .collect()
 }
 
-/// The current git commit hash. `"unknown"` outside a work tree.
-fn git_commit() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_owned())
-        .unwrap_or_else(|| "unknown".to_owned())
-}
-
-/// Replay every section once under the profiled sequential kernel and
-/// write the merged `match_profile.json` into `dir`. Profiling is kept
-/// out of the timed `measure` loop on purpose: the baselines stay
-/// unprofiled, so `--check` gates the zero-cost-when-disabled claim.
-fn write_profile(dir: &str) {
-    let mut merged = MetricsRegistry::new();
-    for (name, program, batches) in sections() {
-        let network = ReteNetwork::compile(&program).unwrap();
-        let mut m =
-            ReteMatcher::with_metrics(network, EngineConfig::default(), MetricsRegistry::new());
-        for batch in &batches {
-            m.process(batch);
-        }
-        black_box(m.conflict_set().len());
-        let reg = m.profile();
-        eprintln!(
-            "matchkernel --profile: {name}: {} series",
-            reg.counters().len() + reg.gauges().len() + reg.histograms().len()
-        );
-        merged.merge(&reg);
-    }
-    let json = mpps_core::render_match_profile("rete", 1, &merged);
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("matchkernel --profile: cannot create {dir}: {e}");
-        std::process::exit(1);
-    }
-    let path = format!("{dir}/match_profile.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => eprintln!("matchkernel --profile: wrote {path}"),
-        Err(e) => {
-            eprintln!("matchkernel --profile: cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
 /// The manifest's `"adapt"` block: the closed skew loop's before/after
 /// numbers (see [`mpps_bench::adapt`]).
-fn adapt_json(report: &mpps_bench::adapt::AdaptReport) -> String {
-    let opt = |v: Option<f64>| match v {
-        Some(v) => format!("{v:.3}"),
-        None => "null".to_owned(),
-    };
-    format!(
-        "{{\"workload\": \"tourney-cross\", \"workers\": {}, \
-         \"probe_skew_static\": {:.3}, \"probe_skew_adaptive\": {:.3}, \
-         \"skew_reduction\": {:.2}, \"bucket_skew_static\": {}, \
-         \"bucket_skew_adaptive\": {}, \"rebalances\": {}, \
-         \"plan\": \"{}\", \"equivalent\": {}}}",
-        report.workers,
-        report.static_skew(),
-        report.adaptive_skew(),
-        report.reduction(),
-        opt(report.static_bucket_skew),
-        opt(report.adaptive_bucket_skew),
-        report.rebalances,
-        report.plan_summary,
-        report.equivalent
-    )
+fn adapt_record() -> AdaptRecord {
+    let report = mpps_bench::adapt::measure(&mpps_bench::adapt::AdaptScenario::default());
+    AdaptRecord {
+        workload: "tourney-cross".into(),
+        workers: report.workers as u64,
+        probe_skew_static: report.static_skew(),
+        probe_skew_adaptive: report.adaptive_skew(),
+        skew_reduction: report.reduction(),
+        bucket_skew_static: report.static_bucket_skew,
+        bucket_skew_adaptive: report.adaptive_bucket_skew,
+        rebalances: report.rebalances as u64,
+        plan: report.plan_summary,
+        equivalent: report.equivalent,
+    }
 }
 
-fn manifest(results: &[SectionResult], adapt: &mpps_bench::adapt::AdaptReport) -> String {
-    let cpus = mpps_telemetry::available_cpus();
-    let sections = results
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"name\": \"{}\", \"compile_us\": {:.2}, \"total_us\": {:.2}, \"pre_rework_us\": {:.2}, \"speedup\": {:.2}}}",
-                r.name,
-                r.compile_us,
-                r.total_us,
-                r.baseline_us,
-                r.baseline_us / r.total_us
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    format!(
-        "{{\n  \"bench\": \"matchkernel\",\n  \"commit\": \"{}\",\n  \"machine\": {{\"os\": \"{}\", \"arch\": \"{}\", \"cpus\": {}}},\n  \"sections\": [\n{}\n  ],\n  \"adapt\": {}\n}}\n",
-        git_commit(),
-        std::env::consts::OS,
-        std::env::consts::ARCH,
-        cpus,
-        sections,
-        adapt_json(adapt)
-    )
-}
-
-/// Pull `"total_us"` for `name` out of a committed manifest. The manifest
-/// is machine-written by this binary, so a line-oriented scan suffices
-/// (no JSON dependency in the sealed build environment).
-fn committed_total_us(manifest: &str, name: &str) -> Option<f64> {
-    let tag = format!("\"name\": \"{name}\"");
-    manifest
-        .lines()
-        .find(|l| l.contains(&tag))?
-        .split("\"total_us\": ")
-        .nth(1)?
-        .split(&[',', '}'][..])
-        .next()?
-        .trim()
-        .parse()
-        .ok()
-}
+const USAGE: &str =
+    "usage: matchkernel [--out PATH] [--check] [--max-regress FRACTION] [--samples N]";
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut argv = Argv::new(USAGE);
     let mut out: Option<String> = None;
     let mut check = false;
     let mut max_regress = 0.10f64;
     let mut samples = 21usize;
-    let mut profile: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                i += 1;
-                out = Some(args.get(i).expect("--out needs a path").clone());
-            }
+    while let Some(arg) = argv.next_arg() {
+        match arg.as_str() {
+            "--out" => out = Some(argv.value("--out")),
             "--check" => check = true,
-            "--profile" => {
-                i += 1;
-                profile = Some(args.get(i).expect("--profile needs a directory").clone());
-            }
-            "--check-profile" => {
-                i += 1;
-                let path = args.get(i).expect("--check-profile needs a file").clone();
-                match mpps_bench::telemetry::check_profile(std::path::Path::new(&path)) {
-                    Ok(report) => {
-                        println!("matchkernel --check-profile: {report}");
-                        std::process::exit(0);
-                    }
-                    Err(e) => {
-                        eprintln!("matchkernel --check-profile: {path}: {e}");
-                        std::process::exit(1);
-                    }
-                }
-            }
             "--max-regress" => {
-                i += 1;
-                max_regress = args
-                    .get(i)
-                    .expect("--max-regress needs a fraction")
-                    .parse()
-                    .expect("--max-regress: not a number");
+                max_regress = argv.parse("--max-regress", |f| (0.0..f64::INFINITY).contains(f))
             }
-            "--samples" => {
-                i += 1;
-                samples = args
-                    .get(i)
-                    .expect("--samples needs a count")
-                    .parse()
-                    .expect("--samples: not a number");
-            }
-            other => {
-                eprintln!("matchkernel: unknown argument {other}");
-                std::process::exit(2);
-            }
+            "--samples" => samples = argv.count("--samples"),
+            other => argv.fail(format!("matchkernel: unknown argument {other}")),
         }
-        i += 1;
-    }
-
-    if let Some(dir) = profile {
-        write_profile(&dir);
     }
 
     let results = measure(samples);
@@ -277,44 +131,38 @@ fn main() {
     for r in &results {
         println!(
             "{:<10} {:>8.2}µs {:>9.2}µs {:>10.2}µs {:>8.2}x",
-            r.name,
-            r.compile_us,
-            r.total_us,
-            r.baseline_us,
-            r.baseline_us / r.total_us
+            r.name, r.compile_us, r.total_us, r.pre_rework_us, r.speedup
         );
     }
 
     if let Some(path) = out {
-        let adapt = mpps_bench::adapt::measure(&mpps_bench::adapt::AdaptScenario::default());
-        eprintln!(
-            "matchkernel: adapt skew {:.3} -> {:.3} ({:.2}x, {} rebalances)",
-            adapt.static_skew(),
-            adapt.adaptive_skew(),
-            adapt.reduction(),
-            adapt.rebalances
+        let sections = results.clone();
+        manifest::write_or_exit(
+            "matchkernel",
+            &path,
+            Matchkernel {
+                sections,
+                adapt: adapt_record(),
+            },
         );
-        let json = manifest(&results, &adapt);
-        match std::fs::write(&path, &json) {
-            Ok(()) => eprintln!("matchkernel: wrote {path}"),
-            Err(e) => {
-                eprintln!("matchkernel: cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
     }
 
     if check {
-        let committed = match std::fs::read_to_string("BENCH_matchkernel.json") {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("matchkernel --check: cannot read BENCH_matchkernel.json: {e}");
+        let text = std::fs::read_to_string("BENCH_matchkernel.json").map_err(|e| e.to_string());
+        let committed = text
+            .and_then(|t| manifest::parse::<Matchkernel>(&t))
+            .unwrap_or_else(|e| {
+                eprintln!("matchkernel --check: BENCH_matchkernel.json: {e}");
                 std::process::exit(1);
-            }
-        };
+            });
         let mut failed = false;
         for r in &results {
-            let Some(recorded) = committed_total_us(&committed, r.name) else {
+            let sections = &committed.0.body.sections;
+            let Some(recorded) = sections
+                .iter()
+                .find(|s| s.name == r.name)
+                .map(|s| s.total_us)
+            else {
                 eprintln!("matchkernel --check: {} missing from manifest", r.name);
                 failed = true;
                 continue;

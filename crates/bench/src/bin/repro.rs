@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! repro [FIGURE] [--figures a,b,c] [--jobs N] [--bench-out PATH]
-//!       [--telemetry-out DIR] [--check-telemetry DIR]
+//!       [--telemetry-out DIR] [--check PATH]
 //!
 //! repro all            # everything below, in paper order (the default)
 //! repro fig5-1         # speedups, zero overhead
@@ -28,23 +28,25 @@
 //! simulated once, and the plan executes on `--jobs` worker threads
 //! (default: available parallelism). Results are keyed by point id, so
 //! stdout is byte-identical for every `--jobs` value. A run manifest —
-//! git commit, jobs, seed, sweep configuration, dedup hits, and
+//! git commit, machine, jobs, seed, sweep configuration, dedup hits, and
 //! per-figure wall-clock histograms — is written to `BENCH_repro.json`
 //! (stderr notes the path); pass `--bench-out ''` to skip the file.
 //!
 //! `--telemetry-out DIR` runs the sweep with wall-time telemetry and
 //! writes `trace.json` (Chrome `trace_event`, one lane per worker —
 //! open at <https://ui.perfetto.dev>), `events.jsonl`, and
-//! `summary.json` into DIR. `--check-telemetry DIR` validates such a
-//! directory structurally and exits; CI uses it as the schema check.
+//! `summary.json` into DIR. `--check PATH` validates a BENCH manifest,
+//! a `match_profile.json`, or a telemetry directory
+//! ([`mpps_bench::manifest::check`]) and exits; it is CI's schema check.
 
 use std::time::Instant;
 
 use mpps_analysis::{render_series, render_table};
 use mpps_bench::experiments as exp;
-use mpps_bench::telemetry as tel;
+use mpps_bench::manifest::{self, Repro, ReproFigure};
+use mpps_bench::Argv;
 use mpps_core::sweep::{SpeedupPoint, SweepPlan, SweepResults};
-use mpps_telemetry::{Histogram, TraceRecorder};
+use mpps_telemetry::{Histogram, HistogramSummary, TraceRecorder};
 
 /// Canonical figure order (paper order) — also the output order.
 const FIGURES: &[&str] = &[
@@ -517,75 +519,43 @@ struct Args {
     jobs: usize,
     bench_out: Option<String>,
     telemetry_out: Option<String>,
-    check_telemetry: Option<String>,
-}
-
-fn usage(code: i32) -> ! {
-    eprintln!(
-        "usage: repro [FIGURE|all] [--figures a,b,c] [--jobs N] [--bench-out PATH]\n\
-         \x20            [--telemetry-out DIR] [--check-telemetry DIR]\n\
-         figures: {}",
-        FIGURES.join(", ")
-    );
-    std::process::exit(code);
-}
-
-fn canonical(name: &str) -> &'static str {
-    FIGURES
-        .iter()
-        .copied()
-        .find(|f| *f == name)
-        .unwrap_or_else(|| {
-            eprintln!("unknown experiment {name:?}; see `repro` source header for the list");
-            std::process::exit(2);
-        })
+    check: Option<String>,
 }
 
 fn parse_args() -> Args {
+    let mut argv = Argv::new(format!(
+        "usage: repro [FIGURE|all] [--figures a,b,c] [--jobs N] [--bench-out PATH]\n\
+         \x20            [--telemetry-out DIR] [--check PATH]\n\
+         figures: {}",
+        FIGURES.join(", ")
+    ));
     let mut figures: Vec<&'static str> = Vec::new();
     let mut jobs: Option<usize> = None;
     let mut bench_out: Option<String> = Some("BENCH_repro.json".to_owned());
     let mut telemetry_out: Option<String> = None;
-    let mut check_telemetry: Option<String> = None;
-    let mut argv = std::env::args().skip(1);
-    while let Some(arg) = argv.next() {
-        let mut value = |what: &str| {
-            argv.next().unwrap_or_else(|| {
-                eprintln!("{what} requires a value");
-                usage(2)
-            })
-        };
+    let mut check: Option<String> = None;
+    let mut canonical = |argv: &Argv, name: &str| match FIGURES.iter().find(|f| **f == name) {
+        Some(f) => figures.push(f),
+        None if name == "all" => figures.extend(FIGURES),
+        None => argv.fail(format!("unknown experiment {name:?}")),
+    };
+    while let Some(arg) = argv.next_arg() {
         match arg.as_str() {
-            "--jobs" | "-j" => {
-                let v = value("--jobs");
-                jobs = Some(v.parse().unwrap_or_else(|_| {
-                    eprintln!("--jobs: not a number: {v:?}");
-                    usage(2)
-                }));
-            }
+            "--jobs" | "-j" => jobs = Some(argv.count("--jobs")),
             "--figures" => {
-                let v = value("--figures");
-                for name in v.split(',').filter(|s| !s.is_empty()) {
-                    if name == "all" {
-                        figures.extend(FIGURES);
-                    } else {
-                        figures.push(canonical(name));
-                    }
+                for name in argv.value("--figures").split(',').filter(|s| !s.is_empty()) {
+                    canonical(&argv, name);
                 }
             }
             "--bench-out" => {
-                let v = value("--bench-out");
+                let v = argv.value("--bench-out");
                 bench_out = if v.is_empty() { None } else { Some(v) };
             }
-            "--telemetry-out" => telemetry_out = Some(value("--telemetry-out")),
-            "--check-telemetry" => check_telemetry = Some(value("--check-telemetry")),
-            "--help" | "-h" => usage(0),
-            "all" => figures.extend(FIGURES),
-            name if !name.starts_with('-') => figures.push(canonical(name)),
-            _ => {
-                eprintln!("unknown flag {arg:?}");
-                usage(2)
-            }
+            "--telemetry-out" => telemetry_out = Some(argv.value("--telemetry-out")),
+            "--check" => check = Some(argv.value("--check")),
+            "--help" | "-h" => argv.help(),
+            name if !name.starts_with('-') => canonical(&argv, name),
+            _ => argv.fail(format!("unknown flag {arg:?}")),
         }
     }
     if figures.is_empty() {
@@ -608,46 +578,29 @@ fn parse_args() -> Args {
         jobs,
         bench_out,
         telemetry_out,
-        check_telemetry,
+        check,
     }
 }
 
-/// The current git commit hash, for the run manifest. `"unknown"` when
-/// the binary runs outside a git checkout.
-fn git_commit() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_owned())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_owned())
-}
-
-/// Nearest-rank summary of a slice of wall-clock samples, as JSON.
-fn wall_ns_json(samples: &[u64]) -> String {
+/// Nearest-rank summary of a slice of wall-clock samples.
+fn wall_ns(samples: &[u64]) -> HistogramSummary {
     let mut hist = Histogram::new();
     for &ns in samples {
         hist.record(ns);
     }
-    hist.summary().to_json()
+    hist.summary()
 }
 
 fn main() {
     let args = parse_args();
-    if let Some(dir) = &args.check_telemetry {
-        match tel::check_dir(std::path::Path::new(dir)) {
-            Ok(report) => {
-                eprintln!("repro: {dir}: {report}");
-                return;
-            }
-            Err(e) => {
-                eprintln!("repro: {dir}: {e}");
-                std::process::exit(1);
-            }
-        }
+    if let Some(path) = &args.check {
+        let report = manifest::check(path.as_ref());
+        let report = report.unwrap_or_else(|e| {
+            eprintln!("repro: {e}");
+            std::process::exit(1)
+        });
+        println!("{path}: {report}");
+        return;
     }
     let wall = Instant::now();
 
@@ -672,11 +625,8 @@ fn main() {
     };
     let run_ms = run_start.elapsed().as_secs_f64() * 1e3;
     if let (Some(dir), Some(rec)) = (&args.telemetry_out, &recorder) {
-        match tel::write_dir(std::path::Path::new(dir), rec) {
-            Ok(written) => eprintln!(
-                "repro: telemetry ({} files) written to {dir}",
-                written.len()
-            ),
+        match manifest::write_dir(dir.as_ref(), rec) {
+            Ok(report) => eprintln!("repro: {report}, written to {dir}"),
             Err(e) => {
                 eprintln!("repro: cannot write telemetry to {dir}: {e}");
                 std::process::exit(1);
@@ -686,55 +636,38 @@ fn main() {
 
     // Phase 3: render in canonical order — byte-identical for any --jobs.
     let separators = args.figures.len() > 1;
-    let mut figure_stats: Vec<(&'static str, &std::ops::Range<usize>, f64)> = Vec::new();
+    let mut figures = Vec::new();
     for (name, ids, points) in &planned {
         if separators {
             println!("==================================================================");
         }
         let render_start = Instant::now();
         render_figure(name, ids, &sections, &results);
-        figure_stats.push((name, points, render_start.elapsed().as_secs_f64() * 1e3));
+        figures.push(ReproFigure {
+            name: (*name).to_owned(),
+            points_added: points.len() as u64,
+            render_ms: render_start.elapsed().as_secs_f64() * 1e3,
+            sim_wall_ns: wall_ns(&results.point_wall_ns_all()[points.clone()]),
+        });
     }
 
     let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
     if let Some(path) = &args.bench_out {
-        let mut per_figure = String::new();
-        for (i, (name, points, render_ms)) in figure_stats.iter().enumerate() {
-            if i > 0 {
-                per_figure.push_str(",\n");
-            }
-            per_figure.push_str(&format!(
-                "    {{\"name\": \"{name}\", \"points_added\": {}, \"render_ms\": {render_ms:.3}, \
-                 \"sim_wall_ns\": {}}}",
-                points.len(),
-                wall_ns_json(&results.point_wall_ns_all()[points.start..points.end])
-            ));
-        }
-        let procs: Vec<String> = exp::PROCS.iter().map(ToString::to_string).collect();
-        let json = format!(
-            "{{\n  \"bench\": \"repro\",\n  \"commit\": \"{}\",\n  \"jobs\": {},\n  \"seed\": {},\n  \"procs\": [{}],\n  \"default_partition\": \"round-robin\",\n  \"traces\": {},\n  \"points\": {},\n  \"baselines\": {},\n  \"dedup_hits\": {},\n  \"plan_run_ms\": {:.3},\n  \"wall_ms\": {:.3},\n  \"point_wall_ns\": {},\n  \"figures\": [\n{}\n  ]\n}}\n",
-            git_commit(),
-            args.jobs,
-            exp::SEED,
-            procs.join(", "),
-            plan.trace_count(),
-            plan.point_count(),
-            plan.trace_count(),
-            plan.dedup_hits(),
-            run_ms,
+        let body = Repro {
+            jobs: args.jobs as u64,
+            seed: exp::SEED,
+            procs: exp::PROCS.iter().map(|&p| p as u64).collect(),
+            default_partition: "round-robin".to_owned(),
+            traces: plan.trace_count() as u64,
+            points: plan.point_count() as u64,
+            baselines: plan.trace_count() as u64,
+            dedup_hits: plan.dedup_hits(),
+            plan_run_ms: run_ms,
             wall_ms,
-            wall_ns_json(results.point_wall_ns_all()),
-            per_figure
-        );
-        match std::fs::write(path, json) {
-            Ok(()) => eprintln!(
-                "repro: {} points ({} traces) in {:.1} ms on {} jobs; wrote {path}",
-                plan.point_count(),
-                plan.trace_count(),
-                run_ms,
-                args.jobs
-            ),
-            Err(e) => eprintln!("repro: cannot write {path}: {e}"),
-        }
+            point_wall_ns: wall_ns(results.point_wall_ns_all()),
+            figures,
+        };
+        eprintln!("repro: plan ran in {run_ms:.1} ms on {} jobs", args.jobs);
+        manifest::write_or_exit("repro", path, body);
     }
 }

@@ -3,8 +3,9 @@
 //! ```text
 //! server_throughput                          # measure tiers, print table
 //! server_throughput --out BENCH_server.json  # measure + write manifest
-//! server_throughput --check FILE             # validate a manifest's schema
 //! server_throughput --tiers 1000,10000       # override the session tiers
+//! server_throughput --rounds 2 --wmes 2      # ingestion rounds, WMEs per round
+//! server_throughput --workers 4              # worker threads
 //! server_throughput --resident-budget 65536  # cap resident sessions/worker
 //! server_throughput --evict-dir DIR          # where evicted snapshots spill
 //! server_throughput --migrate                # greedy rebalance+migrate per round
@@ -18,35 +19,21 @@
 //! WME-changes/sec plus per-cycle latency percentiles from the merged
 //! worker metrics.
 //!
-//! The manifest (`BENCH_server.json`, same style as
-//! `BENCH_matchkernel.json`) records every tier together with the commit
-//! hash and machine info; `--check` validates a committed manifest
-//! structurally via [`mpps_bench::telemetry::check_server_manifest`] —
-//! the CI smoke job runs a 1k-session tier, writes the manifest, and
-//! checks it.
+//! The manifest (`BENCH_server.json`, a [`mpps_bench::manifest`]
+//! document) records every tier together with the commit hash and machine
+//! info; it is checked before it is written. CI runs a 1k-session tier,
+//! writes the manifest, and checks it again with `repro --check`.
 
-use mpps_bench::telemetry::{
-    check_server_manifest, render_server_manifest, ServerManifestInfo, ServerTierRecord,
-};
+use mpps_bench::manifest::{self, ServerTier};
+use mpps_bench::Argv;
 use mpps_server::{run_synthetic, ServerConfig, SyntheticSpec};
 
-/// The current git commit hash. `"unknown"` outside a work tree.
-fn git_commit() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_owned())
-        .unwrap_or_else(|| "unknown".to_owned())
-}
-
-fn measure(config: ServerConfig, spec: &SyntheticSpec) -> ServerTierRecord {
+fn measure(config: ServerConfig, spec: &SyntheticSpec) -> ServerTier {
     let report = run_synthetic(config, spec).unwrap_or_else(|e| {
         eprintln!("server_throughput: tier {} failed: {e}", spec.sessions);
         std::process::exit(1);
     });
-    ServerTierRecord {
+    ServerTier {
         sessions: report.sessions as u64,
         replies: report.replies,
         failures: report.failures,
@@ -65,8 +52,11 @@ fn measure(config: ServerConfig, spec: &SyntheticSpec) -> ServerTierRecord {
     }
 }
 
+const USAGE: &str = "usage: server_throughput [--out PATH] [--tiers N,N,...] [--rounds N] \
+                     [--wmes N] [--workers N] [--resident-budget N] [--evict-dir DIR] [--migrate]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut argv = Argv::new(USAGE);
     let mut out: Option<String> = None;
     let mut tiers: Vec<usize> = vec![1_000, 10_000, 100_000];
     let mut rounds = 2u64;
@@ -75,87 +65,21 @@ fn main() {
     let mut resident_budget: Option<usize> = None;
     let mut evict_dir: Option<std::path::PathBuf> = None;
     let mut migrate = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                i += 1;
-                out = Some(args.get(i).expect("--out needs a path").clone());
-            }
-            "--check" => {
-                i += 1;
-                let path = args.get(i).expect("--check needs a file").clone();
-                match check_server_manifest(std::path::Path::new(&path)) {
-                    Ok(report) => {
-                        println!("server_throughput --check: {report}");
-                        std::process::exit(0);
-                    }
-                    Err(e) => {
-                        eprintln!("server_throughput --check: {path}: {e}");
-                        std::process::exit(1);
-                    }
-                }
-            }
-            "--tiers" => {
-                i += 1;
-                tiers = args
-                    .get(i)
-                    .expect("--tiers needs a comma-separated list")
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("--tiers: not a session count"))
-                    .collect();
-            }
-            "--rounds" => {
-                i += 1;
-                rounds = args
-                    .get(i)
-                    .expect("--rounds needs a count")
-                    .parse()
-                    .expect("--rounds: not a number");
-            }
-            "--wmes" => {
-                i += 1;
-                wmes = args
-                    .get(i)
-                    .expect("--wmes needs a count")
-                    .parse()
-                    .expect("--wmes: not a number");
-            }
-            "--workers" => {
-                i += 1;
-                workers = args
-                    .get(i)
-                    .expect("--workers needs a count")
-                    .parse()
-                    .expect("--workers: not a number");
-            }
-            "--resident-budget" => {
-                i += 1;
-                resident_budget = Some(
-                    args.get(i)
-                        .expect("--resident-budget needs a count")
-                        .parse()
-                        .expect("--resident-budget: not a number"),
-                );
-            }
-            "--evict-dir" => {
-                i += 1;
-                evict_dir = Some(
-                    args.get(i)
-                        .expect("--evict-dir needs a path")
-                        .clone()
-                        .into(),
-                );
-            }
-            "--migrate" => {
-                migrate = true;
-            }
-            other => {
-                eprintln!("server_throughput: unknown argument {other}");
-                std::process::exit(2);
-            }
+    while let Some(arg) = argv.next_arg() {
+        match arg.as_str() {
+            "--out" => out = Some(argv.value("--out")),
+            "--tiers" => tiers = argv.counts("--tiers"),
+            "--rounds" => rounds = argv.parse("--rounds", |_| true),
+            "--wmes" => wmes = argv.parse("--wmes", |_| true),
+            "--workers" => workers = argv.count("--workers"),
+            "--resident-budget" => resident_budget = Some(argv.count("--resident-budget")),
+            "--evict-dir" => evict_dir = Some(argv.value("--evict-dir").into()),
+            "--migrate" => migrate = true,
+            other => argv.fail(format!("server_throughput: unknown argument {other}")),
         }
-        i += 1;
+    }
+    if tiers.windows(2).any(|w| w[0] >= w[1]) {
+        argv.fail("--tiers must grow");
     }
 
     let config = ServerConfig {
@@ -201,20 +125,14 @@ fn main() {
     }
 
     if let Some(path) = out {
-        let info = ServerManifestInfo {
-            commit: git_commit(),
+        let config = manifest::ServerConfig {
             workers: workers as u64,
             queue_capacity: config.queue_capacity as u64,
             rounds,
             wmes_per_round: wmes as u64,
         };
-        let json = render_server_manifest(&info, &records);
-        match std::fs::write(&path, &json) {
-            Ok(()) => eprintln!("server_throughput: wrote {path}"),
-            Err(e) => {
-                eprintln!("server_throughput: cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+        let tiers = records;
+        let body = manifest::Server { config, tiers };
+        manifest::write_or_exit("server_throughput", &path, body);
     }
 }

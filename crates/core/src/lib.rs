@@ -21,7 +21,8 @@
 //! a message-based [`termination`] detector (Safra's algorithm) — the
 //! piece the paper explicitly deferred to future work — and the
 //! [`profile`] renderer that turns a merged match-kernel
-//! [`mpps_telemetry::MetricsRegistry`] into `match_profile.json`.
+//! [`mpps_telemetry::MetricsRegistry`] into `match_profile.json`, next
+//! to the checker for that document.
 
 pub mod continuum;
 pub mod cost;
@@ -37,7 +38,7 @@ pub use cost::{CostModel, OverheadSetting, NECTAR_LATENCY};
 pub use partition::{
     bucket_activity, cycle_bucket_activity, cycle_bucket_work, load_skew, Partition,
 };
-pub use profile::{bucket_skew_factor, render_match_profile, PROFILE_SCHEMA};
+pub use profile::{bucket_skew_factor, check_profile, render_match_profile, PROFILE_SCHEMA};
 pub use sharedbus::{shared_bus_simulate, SharedBusConfig, SharedBusReport};
 pub use simexec::{
     name_machine_tracks, simulate, simulate_in, simulate_per_cycle, simulate_per_cycle_in,

@@ -1,22 +1,22 @@
-//! Render a merged [`MetricsRegistry`] as `match_profile.json`.
+//! `match_profile.json`: render a merged [`MetricsRegistry`] as the
+//! profile document, and [`check_profile`] it.
 //!
 //! The profile is the human- and CI-facing summary of one profiled match
 //! run (`mpps run --profile OUT`): the top-K hot nodes by activation
 //! count, the per-bucket skew factor (max/mean activations across the
 //! buckets that saw any work), arena occupancy, and — for the threaded
 //! executor — the per-cycle barrier-wait vs match-work phase split plus
-//! per-worker lanes. The schema is validated by
-//! `mpps_bench::telemetry::check_profile` in CI, using only the
-//! workspace's own JSON parser.
+//! per-worker lanes. The writer and the checker live here together so the
+//! schema cannot drift; `repro --check FILE` runs the checker in CI.
 //!
 //! Everything is derived from metric series by name (see
 //! [`mpps_rete::kernel::metric`], [`crate::threaded::metric`], and the
 //! TREAT `rule.*` series), so the renderer works for any matcher: series
 //! a matcher never recorded simply render as `null` or empty lists.
 
-use mpps_telemetry::{available_cpus, Histogram, MetricsRegistry};
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use mpps_telemetry::json::{self, ensure, Field, Value};
+use mpps_telemetry::{available_cpus, record, Histogram, HistogramSummary, MetricsRegistry};
+use std::collections::{BTreeMap, BTreeSet};
 
 use mpps_ops::treat::metric as rmetric;
 use mpps_rete::kernel::metric as kmetric;
@@ -29,25 +29,121 @@ pub const PROFILE_SCHEMA: &str = "mpps.match_profile.v1";
 /// How many hot nodes / rules the profile lists.
 pub const TOP_K: usize = 10;
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+record! {
+    /// The `match_profile.json` document.
+    struct Profile {
+        schema: String,
+        matcher: String,
+        machine: Machine,
+        totals: Totals,
+        hot_nodes: Vec<HotNode>,
+        hot_rules: Vec<HotRule>,
+        bucket_skew: Option<BucketSkew>,
+        arena: Arena,
+        phases: Phases,
+        workers: Vec<WorkerLane>,
     }
-    out
+    check(p) {
+        ensure(p.schema == PROFILE_SCHEMA, || format!("unknown schema {:?}", p.schema))?;
+        ensure(!p.matcher.is_empty(), || "empty matcher name".into())?;
+        let mut prev = p.totals.activations;
+        for (i, node) in p.hot_nodes.iter().enumerate() {
+            ensure(node.activations <= prev, || {
+                format!("hot_nodes[{i}]: not sorted by activations, or above the total")
+            })?;
+            prev = node.activations;
+        }
+        Ok(())
+    }
 }
 
-fn hist_json(h: Option<&Histogram>) -> String {
-    match h {
-        Some(h) => h.summary().to_json(),
-        None => "null".to_owned(),
+record! {
+    struct Machine {
+        cpus: u64,
+        workers: u64,
+    }
+    check(m) {
+        ensure(m.cpus > 0 && m.workers > 0, || "cpus and workers must be at least 1".into())
+    }
+}
+
+record! {
+    struct Totals {
+        activations: u64,
+        left_probes: u64,
+        right_probes: u64,
+        prefilter_hits: u64,
+        match_ns: u64,
+    }
+}
+
+record! {
+    struct HotNode {
+        node: u64,
+        activations: u64,
+        left_probes: u64,
+        right_probes: u64,
+        prefilter_hits: u64,
+        match_ns: u64,
+    }
+}
+
+record! {
+    struct HotRule {
+        rule: u64,
+        activations: u64,
+        retractions: u64,
+        alpha_inserts: u64,
+        seed_joins: u64,
+        match_ns: u64,
+    }
+}
+
+record! {
+    /// Present only when some bucket was hit; `skew_factor` is max/mean.
+    struct BucketSkew {
+        buckets_hit: u64,
+        max_activations: u64,
+        mean_activations: f64,
+        skew_factor: f64,
+    }
+    check(s) {
+        let (max, mean, factor) = (s.max_activations as f64, s.mean_activations, s.skew_factor);
+        ensure(s.buckets_hit > 0, || "present but no buckets hit".into())?;
+        ensure(max >= mean, || format!("max {max} below mean {mean}"))?;
+        ensure(mean == 0.0 || (factor - max / mean).abs() <= 0.01, || {
+            format!("skew_factor {factor} is not max/mean ({max}/{mean})")
+        })
+    }
+}
+
+record! {
+    struct Arena {
+        allocs: u64,
+        frees: u64,
+        live: u64,
+        high_water: u64,
+        free_high_water: u64,
+    }
+}
+
+record! {
+    /// Per-cycle phase histograms; `None` for a series never recorded.
+    struct Phases {
+        cycles: u64,
+        wall_ns: Option<HistogramSummary>,
+        work_ns: Option<HistogramSummary>,
+        wait_ns: Option<HistogramSummary>,
+        drain_activations: Option<HistogramSummary>,
+    }
+}
+
+record! {
+    struct WorkerLane {
+        worker: u64,
+        work_ns: u64,
+        wait_ns: u64,
+        forwarded_in: u64,
     }
 }
 
@@ -67,121 +163,65 @@ fn keyed_max(keys: Option<&BTreeMap<u64, u64>>) -> u64 {
 /// all about how far real workloads sit above that. `None` when the run
 /// recorded no bucket activity (unprofiled matcher, or no match work).
 pub fn bucket_skew_factor(reg: &MetricsRegistry) -> Option<f64> {
-    let buckets = reg.counter(kmetric::BUCKET_ACTIVATIONS)?;
-    if buckets.is_empty() {
-        return None;
-    }
-    let total: u64 = buckets.values().sum();
-    let max: u64 = buckets.values().copied().max().unwrap_or(0);
-    let mean = total as f64 / buckets.len() as f64;
-    if mean > 0.0 {
-        Some(max as f64 / mean)
-    } else {
-        Some(0.0)
-    }
+    bucket_skew(reg).map(|s| s.skew_factor)
 }
 
-/// The per-bucket skew block rendered into the profile document.
-fn bucket_skew_json(reg: &MetricsRegistry) -> String {
-    let Some(factor) = bucket_skew_factor(reg) else {
-        return "null".to_owned();
-    };
+fn bucket_skew(reg: &MetricsRegistry) -> Option<BucketSkew> {
     let buckets = reg
         .counter(kmetric::BUCKET_ACTIVATIONS)
-        .expect("factor implies the series exists");
-    let hit = buckets.len() as u64;
-    let total: u64 = buckets.values().sum();
-    let max: u64 = buckets.values().copied().max().unwrap_or(0);
-    let mean = total as f64 / hit as f64;
-    format!(
-        "{{\"buckets_hit\": {hit}, \"max_activations\": {max}, \
-         \"mean_activations\": {mean:.3}, \"skew_factor\": {factor:.3}}}"
-    )
+        .filter(|b| !b.is_empty())?;
+    let buckets_hit = buckets.len() as u64;
+    let max_activations = keyed_max(Some(buckets));
+    let mean_activations = keyed_sum(Some(buckets)) as f64 / buckets_hit as f64;
+    Some(BucketSkew {
+        buckets_hit,
+        max_activations,
+        mean_activations,
+        skew_factor: if mean_activations > 0.0 {
+            max_activations as f64 / mean_activations
+        } else {
+            0.0
+        },
+    })
 }
 
-/// Top-K entries of a keyed counter series, largest value first (ties
-/// broken by key for determinism).
-fn top_k(keys: Option<&BTreeMap<u64, u64>>, k: usize) -> Vec<u64> {
-    let Some(keys) = keys else {
-        return Vec::new();
-    };
-    let mut entries: Vec<(u64, u64)> = keys.iter().map(|(&id, &n)| (id, n)).collect();
+/// One row per top-[`TOP_K`] key of a keyed counter series, largest value
+/// first (ties broken by key for determinism).
+fn top_k<T>(keys: Option<&BTreeMap<u64, u64>>, row: impl FnMut(u64) -> T) -> Vec<T> {
+    let mut entries: Vec<(u64, u64)> = keys
+        .into_iter()
+        .flatten()
+        .map(|(&id, &n)| (id, n))
+        .collect();
     entries.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    entries.truncate(k);
-    entries.into_iter().map(|(id, _)| id).collect()
+    entries
+        .into_iter()
+        .take(TOP_K)
+        .map(|(id, _)| id)
+        .map(row)
+        .collect()
 }
 
 fn at(keys: Option<&BTreeMap<u64, u64>>, id: u64) -> u64 {
     keys.and_then(|m| m.get(&id)).copied().unwrap_or(0)
 }
 
-fn hot_nodes_json(reg: &MetricsRegistry) -> String {
-    let acts = reg.counter(kmetric::NODE_ACTIVATIONS);
-    let mut out = String::from("[");
-    for (i, node) in top_k(acts, TOP_K).into_iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(
-            out,
-            "{{\"node\": {node}, \"activations\": {}, \"left_probes\": {}, \
-             \"right_probes\": {}, \"prefilter_hits\": {}, \"match_ns\": {}}}",
-            at(acts, node),
-            at(reg.counter(kmetric::NODE_LEFT_PROBES), node),
-            at(reg.counter(kmetric::NODE_RIGHT_PROBES), node),
-            at(reg.counter(kmetric::NODE_PREFILTER_HITS), node),
-            at(reg.counter(kmetric::NODE_MATCH_NS), node),
-        );
-    }
-    out.push(']');
-    out
-}
-
-fn hot_rules_json(reg: &MetricsRegistry) -> String {
-    let acts = reg.counter(rmetric::RULE_ACTIVATIONS);
-    let mut out = String::from("[");
-    for (i, rule) in top_k(acts, TOP_K).into_iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(
-            out,
-            "{{\"rule\": {rule}, \"activations\": {}, \"retractions\": {}, \
-             \"alpha_inserts\": {}, \"seed_joins\": {}, \"match_ns\": {}}}",
-            at(acts, rule),
-            at(reg.counter(rmetric::RULE_RETRACTIONS), rule),
-            at(reg.counter(rmetric::RULE_ALPHA_INSERTS), rule),
-            at(reg.counter(rmetric::RULE_SEED_JOINS), rule),
-            at(reg.counter(rmetric::RULE_MATCH_NS), rule),
-        );
-    }
-    out.push(']');
-    out
-}
-
-fn workers_json(reg: &MetricsRegistry) -> String {
+fn worker_lanes(reg: &MetricsRegistry) -> Vec<WorkerLane> {
     let work = reg.counter(tmetric::WORKER_WORK_NS);
     let wait = reg.counter(tmetric::WORKER_WAIT_NS);
     let forwarded_in = reg.counter(tmetric::PEER_FORWARDED);
-    let mut lanes: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
-    for keys in [work, wait].into_iter().flatten() {
-        lanes.extend(keys.keys().copied());
-    }
-    let mut out = String::from("[");
-    for (i, w) in lanes.into_iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(
-            out,
-            "{{\"worker\": {w}, \"work_ns\": {}, \"wait_ns\": {}, \"forwarded_in\": {}}}",
-            at(work, w),
-            at(wait, w),
-            at(forwarded_in, w),
-        );
-    }
-    out.push(']');
-    out
+    let lanes: BTreeSet<u64> = [work, wait]
+        .into_iter()
+        .flatten()
+        .flat_map(|keys| keys.keys().copied())
+        .collect();
+    let lane = |worker| WorkerLane {
+        worker,
+        work_ns: at(work, worker),
+        wait_ns: at(wait, worker),
+        forwarded_in: at(forwarded_in, worker),
+    };
+    lanes.into_iter().map(lane).collect()
 }
 
 /// Render one merged registry as the `match_profile.json` document.
@@ -192,65 +232,141 @@ fn workers_json(reg: &MetricsRegistry) -> String {
 /// render as `null` (skew, phase histograms) or `[]` (hot lists,
 /// workers), so the document shape is identical across matchers.
 pub fn render_match_profile(matcher: &str, workers: usize, reg: &MetricsRegistry) -> String {
-    let wall = reg.histogram(kmetric::CYCLE_WALL_NS);
-    let arena = |name: &str| keyed_sum(reg.gauge(name));
-    format!(
-        "{{\n  \"schema\": \"{schema}\",\n  \"matcher\": \"{matcher}\",\n  \
-         \"machine\": {{\"cpus\": {cpus}, \"workers\": {workers}}},\n  \
-         \"totals\": {{\"activations\": {acts}, \"left_probes\": {lp}, \
-         \"right_probes\": {rp}, \"prefilter_hits\": {pf}, \"match_ns\": {mns}}},\n  \
-         \"hot_nodes\": {hot_nodes},\n  \
-         \"hot_rules\": {hot_rules},\n  \
-         \"bucket_skew\": {skew},\n  \
-         \"arena\": {{\"allocs\": {allocs}, \"frees\": {frees}, \"live\": {live}, \
-         \"high_water\": {hw}, \"free_high_water\": {fhw}}},\n  \
-         \"phases\": {{\"cycles\": {cycles}, \"wall_ns\": {wall}, \
-         \"work_ns\": {work}, \"wait_ns\": {wait}, \"drain_activations\": {drains}}},\n  \
-         \"workers\": {per_worker}\n}}\n",
-        schema = PROFILE_SCHEMA,
-        matcher = json_escape(matcher),
-        cpus = available_cpus(),
-        workers = workers,
-        acts = reg.counter_total(kmetric::NODE_ACTIVATIONS)
-            + reg.counter_total(rmetric::RULE_ACTIVATIONS),
-        lp = reg.counter_total(kmetric::NODE_LEFT_PROBES),
-        rp = reg.counter_total(kmetric::NODE_RIGHT_PROBES),
-        pf = reg.counter_total(kmetric::NODE_PREFILTER_HITS),
-        mns = reg.counter_total(kmetric::NODE_MATCH_NS) + reg.counter_total(rmetric::RULE_MATCH_NS),
-        hot_nodes = hot_nodes_json(reg),
-        hot_rules = hot_rules_json(reg),
-        skew = bucket_skew_json(reg),
-        allocs = arena(kmetric::ARENA_ALLOCS),
-        frees = arena(kmetric::ARENA_FREES),
-        live = arena(kmetric::ARENA_LIVE),
-        hw = keyed_max(reg.gauge(kmetric::ARENA_HIGH_WATER)),
-        fhw = keyed_max(reg.gauge(kmetric::ARENA_FREE_HIGH_WATER)),
-        cycles = wall.map(Histogram::count).unwrap_or(0),
-        wall = hist_json(wall),
-        work = hist_json(reg.histogram(kmetric::CYCLE_WORK_NS)),
-        wait = hist_json(reg.histogram(kmetric::CYCLE_WAIT_NS)),
-        drains = hist_json(reg.histogram(tmetric::DRAIN_ACTIVATIONS)),
-        per_worker = workers_json(reg),
-    )
+    let total = |series: &[&str]| series.iter().map(|s| reg.counter_total(s)).sum();
+    let at = |series, id| at(reg.counter(series), id);
+    let hist = |series| reg.histogram(series).map(Histogram::summary);
+    let hot_node = |node| HotNode {
+        node,
+        activations: at(kmetric::NODE_ACTIVATIONS, node),
+        left_probes: at(kmetric::NODE_LEFT_PROBES, node),
+        right_probes: at(kmetric::NODE_RIGHT_PROBES, node),
+        prefilter_hits: at(kmetric::NODE_PREFILTER_HITS, node),
+        match_ns: at(kmetric::NODE_MATCH_NS, node),
+    };
+    let hot_rule = |rule| HotRule {
+        rule,
+        activations: at(rmetric::RULE_ACTIVATIONS, rule),
+        retractions: at(rmetric::RULE_RETRACTIONS, rule),
+        alpha_inserts: at(rmetric::RULE_ALPHA_INSERTS, rule),
+        seed_joins: at(rmetric::RULE_SEED_JOINS, rule),
+        match_ns: at(rmetric::RULE_MATCH_NS, rule),
+    };
+    let profile = Profile {
+        schema: PROFILE_SCHEMA.to_owned(),
+        matcher: matcher.to_owned(),
+        machine: Machine {
+            cpus: available_cpus() as u64,
+            workers: workers as u64,
+        },
+        totals: Totals {
+            activations: total(&[kmetric::NODE_ACTIVATIONS, rmetric::RULE_ACTIVATIONS]),
+            left_probes: total(&[kmetric::NODE_LEFT_PROBES]),
+            right_probes: total(&[kmetric::NODE_RIGHT_PROBES]),
+            prefilter_hits: total(&[kmetric::NODE_PREFILTER_HITS]),
+            match_ns: total(&[kmetric::NODE_MATCH_NS, rmetric::RULE_MATCH_NS]),
+        },
+        hot_nodes: top_k(reg.counter(kmetric::NODE_ACTIVATIONS), hot_node),
+        hot_rules: top_k(reg.counter(rmetric::RULE_ACTIVATIONS), hot_rule),
+        bucket_skew: bucket_skew(reg),
+        arena: Arena {
+            allocs: keyed_sum(reg.gauge(kmetric::ARENA_ALLOCS)),
+            frees: keyed_sum(reg.gauge(kmetric::ARENA_FREES)),
+            live: keyed_sum(reg.gauge(kmetric::ARENA_LIVE)),
+            high_water: keyed_max(reg.gauge(kmetric::ARENA_HIGH_WATER)),
+            free_high_water: keyed_max(reg.gauge(kmetric::ARENA_FREE_HIGH_WATER)),
+        },
+        phases: Phases {
+            cycles: hist(kmetric::CYCLE_WALL_NS).map_or(0, |h| h.count),
+            wall_ns: hist(kmetric::CYCLE_WALL_NS),
+            work_ns: hist(kmetric::CYCLE_WORK_NS),
+            wait_ns: hist(kmetric::CYCLE_WAIT_NS),
+            drain_activations: hist(tmetric::DRAIN_ACTIVATIONS),
+        },
+        workers: worker_lanes(reg),
+    };
+    json::write(&profile.value())
+}
+
+/// Validate a parsed `match_profile.json` document: the field set and
+/// types, the schema tag, machine info, hot-node ordering, the bucket-skew
+/// invariants (`max ≥ mean`, `factor = max/mean`), and percentile order
+/// in the phase histograms. Returns a one-line description of what was
+/// validated.
+pub fn check_profile(doc: &Value) -> Result<String, String> {
+    let schema: String = doc.field("schema")?;
+    ensure(schema == PROFILE_SCHEMA, || {
+        format!("unknown schema {schema:?}")
+    })?;
+    let p = Profile::read(doc)?;
+    let (matcher, acts, cycles) = (&p.matcher, p.totals.activations, p.phases.cycles);
+    let (nodes, lanes) = (p.hot_nodes.len(), p.workers.len());
+    Ok(format!(
+        "profile ok: matcher {matcher:?}, {acts} activations, {cycles} cycles, \
+         {nodes} hot nodes, {lanes} worker lanes"
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpps_telemetry::json;
     use mpps_telemetry::MetricSink;
+
+    /// Render `reg`, check the text, and read it back typed.
+    fn rendered(workers: usize, reg: &MetricsRegistry) -> Profile {
+        let doc = json::parse(&render_match_profile("threaded", workers, reg)).unwrap();
+        check_profile(&doc).unwrap();
+        Profile::read(&doc).unwrap()
+    }
 
     #[test]
     fn empty_registry_renders_valid_json() {
-        let text = render_match_profile("rete", 1, &MetricsRegistry::new());
-        let doc = json::parse(&text).expect("valid JSON");
-        assert_eq!(
-            doc.get("schema").and_then(|v| v.as_str()),
-            Some(PROFILE_SCHEMA)
+        let p = rendered(1, &MetricsRegistry::new());
+        assert_eq!(p.schema, PROFILE_SCHEMA);
+        assert!(p.machine.cpus >= 1);
+        assert!(p.hot_nodes.is_empty() && p.bucket_skew.is_none() && p.phases.wall_ns.is_none());
+    }
+
+    /// Each invariant the checker enforces rejects a document that breaks
+    /// it.
+    #[test]
+    fn mangled_profiles_fail_the_check() {
+        let mut reg = MetricsRegistry::new();
+        for node in 0..3u64 {
+            reg.add(kmetric::NODE_ACTIVATIONS, node, node + 1);
+        }
+        reg.observe(kmetric::CYCLE_WALL_NS, 50);
+        let profile = rendered(1, &reg);
+        let rejects = |mangle: fn(&mut Profile), expect: &str| {
+            let mut p = profile.clone();
+            mangle(&mut p);
+            let err = check_profile(&p.value()).unwrap_err();
+            assert!(err.contains(expect), "{expect}: {err}");
+        };
+        rejects(|p| p.schema = "something-else".into(), "unknown schema");
+        rejects(|p| p.matcher.clear(), "empty matcher name");
+        rejects(
+            |p| p.machine.cpus = 0,
+            "machine: cpus and workers must be at least 1",
         );
-        assert!(doc.get("machine").unwrap().get("cpus").unwrap().as_u64() >= Some(1));
-        assert_eq!(doc.get("hot_nodes").unwrap().as_array().unwrap().len(), 0);
-        assert!(doc.get("bucket_skew").is_some());
+        rejects(|p| p.hot_nodes.swap(0, 2), "hot_nodes[1]: not sorted");
+        let wall = "phases: wall_ns: percentiles out of order";
+        rejects(|p| p.phases.wall_ns.as_mut().unwrap().p95 = 0, wall);
+        let skew = "bucket_skew: skew_factor 9 is not max/mean";
+        rejects(
+            |p| {
+                p.bucket_skew = Some(BucketSkew {
+                    buckets_hit: 2,
+                    max_activations: 4,
+                    mean_activations: 2.0,
+                    skew_factor: 9.0,
+                })
+            },
+            skew,
+        );
+        let bare = json::object([("schema", PROFILE_SCHEMA.to_owned().value())]);
+        assert!(check_profile(&bare)
+            .unwrap_err()
+            .contains("matcher: missing"));
     }
 
     #[test]
@@ -260,39 +376,26 @@ mod tests {
             reg.add(kmetric::NODE_ACTIVATIONS, node, node + 1);
             reg.add(kmetric::NODE_LEFT_PROBES, node, 2 * node);
         }
-        let text = render_match_profile("threaded", 4, &reg);
-        let doc = json::parse(&text).unwrap();
-        let hot = doc.get("hot_nodes").unwrap().as_array().unwrap();
+        let hot = rendered(4, &reg).hot_nodes;
         assert_eq!(hot.len(), TOP_K);
         // Largest activation count (node 19, 20 activations) first.
-        assert_eq!(hot[0].get("node").and_then(|v| v.as_u64()), Some(19));
-        assert_eq!(hot[0].get("activations").and_then(|v| v.as_u64()), Some(20));
-        assert_eq!(hot[0].get("left_probes").and_then(|v| v.as_u64()), Some(38));
-        let acts: Vec<u64> = hot
-            .iter()
-            .map(|h| h.get("activations").and_then(|v| v.as_u64()).unwrap())
-            .collect();
-        let mut sorted = acts.clone();
-        sorted.sort_unstable_by(|a, b| b.cmp(a));
-        assert_eq!(acts, sorted, "hot nodes sorted by activations desc");
+        assert_eq!(
+            (hot[0].node, hot[0].activations, hot[0].left_probes),
+            (19, 20, 38)
+        );
+        assert!(hot.windows(2).all(|w| w[0].activations >= w[1].activations));
     }
 
     #[test]
     fn skew_factor_is_max_over_mean() {
         let mut reg = MetricsRegistry::new();
-        reg.add(kmetric::BUCKET_ACTIVATIONS, 0, 9);
-        reg.add(kmetric::BUCKET_ACTIVATIONS, 1, 1);
-        reg.add(kmetric::BUCKET_ACTIVATIONS, 2, 2);
-        let text = render_match_profile("threaded", 2, &reg);
-        let doc = json::parse(&text).unwrap();
-        let skew = doc.get("bucket_skew").unwrap();
-        assert_eq!(skew.get("buckets_hit").and_then(|v| v.as_u64()), Some(3));
-        assert_eq!(
-            skew.get("max_activations").and_then(|v| v.as_u64()),
-            Some(9)
-        );
+        for (bucket, acts) in [(0, 9), (1, 1), (2, 2)] {
+            reg.add(kmetric::BUCKET_ACTIVATIONS, bucket, acts);
+        }
+        let skew = rendered(2, &reg).bucket_skew.unwrap();
         // mean = 4, factor = 9/4 = 2.25
-        assert_eq!(skew.get("skew_factor").and_then(|v| v.as_f64()), Some(2.25));
+        assert_eq!((skew.buckets_hit, skew.max_activations), (3, 9));
+        assert_eq!((skew.mean_activations, skew.skew_factor), (4.0, 2.25));
     }
 
     #[test]
@@ -303,19 +406,12 @@ mod tests {
         reg.add(tmetric::WORKER_WAIT_NS, 0, 10);
         reg.add(tmetric::WORKER_WAIT_NS, 1, 60);
         reg.add(tmetric::PEER_FORWARDED, 1, 7);
-        let text = render_match_profile("threaded", 2, &reg);
-        let doc = json::parse(&text).unwrap();
-        let lanes = doc.get("workers").unwrap().as_array().unwrap();
+        let lanes = rendered(2, &reg).workers;
         assert_eq!(lanes.len(), 2);
-        assert_eq!(lanes[1].get("work_ns").and_then(|v| v.as_u64()), Some(50));
-        assert_eq!(lanes[1].get("wait_ns").and_then(|v| v.as_u64()), Some(60));
+        let lane = |w: &WorkerLane| (w.worker, w.work_ns, w.wait_ns, w.forwarded_in);
         assert_eq!(
-            lanes[1].get("forwarded_in").and_then(|v| v.as_u64()),
-            Some(7)
-        );
-        assert_eq!(
-            lanes[0].get("forwarded_in").and_then(|v| v.as_u64()),
-            Some(0)
+            (lane(&lanes[0]), lane(&lanes[1])),
+            ((0, 100, 10, 0), (1, 50, 60, 7))
         );
     }
 }

@@ -8,30 +8,12 @@
 //! nanoseconds are written as fractional µs with three decimals so no
 //! precision is lost.
 
+use crate::json::escape;
 use crate::recorder::TraceRecorder;
-use std::fmt::Write as _;
 
 /// Nanoseconds rendered as fractional trace-format microseconds.
 fn us(ns: u64) -> String {
     format!("{}.{:03}", ns / 1_000, ns % 1_000)
-}
-
-/// Escape a string for inclusion in a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Render the recorder's events as a Chrome `trace_event` JSON
@@ -86,18 +68,10 @@ pub fn chrome_trace(rec: &TraceRecorder) -> String {
         ));
     }
 
-    let mut out = String::new();
-    out.push_str("{\"traceEvents\": [\n");
-    for (i, e) in events.iter().enumerate() {
-        out.push_str("  ");
-        out.push_str(e);
-        if i + 1 < events.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("], \"displayTimeUnit\": \"ms\"}\n");
-    out
+    let lines: Vec<String> = events.iter().map(|e| format!("  {e}")).collect();
+    let end = if lines.is_empty() { "" } else { "\n" };
+    let body = lines.join(",\n");
+    format!("{{\"traceEvents\": [\n{body}{end}], \"displayTimeUnit\": \"ms\"}}\n")
 }
 
 #[cfg(test)]

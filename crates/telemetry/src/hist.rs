@@ -111,30 +111,31 @@ impl Histogram {
     }
 }
 
-/// Percentile summary of one histogram (zeros when empty).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct HistogramSummary {
-    /// Number of samples.
-    pub count: u64,
-    /// Smallest sample.
-    pub min: u64,
-    /// Largest sample.
-    pub max: u64,
-    /// Mean sample.
-    pub mean: f64,
-    /// Nearest-rank median.
-    pub p50: u64,
-    /// Nearest-rank 95th percentile.
-    pub p95: u64,
-}
-
-impl HistogramSummary {
-    /// Render as a JSON object (used by both export formats).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"count\": {}, \"min\": {}, \"max\": {}, \"mean\": {:.3}, \"p50\": {}, \"p95\": {}}}",
-            self.count, self.min, self.max, self.mean, self.p50, self.p95
-        )
+crate::record! {
+    /// Percentile summary of one histogram (zeros when empty). As JSON,
+    /// `{count, min, max, mean, p50, p95}`; reading one back checks that,
+    /// when it holds samples, `min ≤ p50 ≤ p95 ≤ max`.
+    #[derive(Copy)]
+    pub struct HistogramSummary {
+        /// Number of samples.
+        pub count: u64,
+        /// Smallest sample.
+        pub min: u64,
+        /// Largest sample.
+        pub max: u64,
+        /// Mean sample.
+        pub mean: f64,
+        /// Nearest-rank median.
+        pub p50: u64,
+        /// Nearest-rank 95th percentile.
+        pub p95: u64,
+    }
+    check(s) {
+        let ordered = s.min <= s.p50 && s.p50 <= s.p95 && s.p95 <= s.max;
+        crate::json::ensure(s.count == 0 || ordered, || {
+            let (min, p50, p95, max) = (s.min, s.p50, s.p95, s.max);
+            format!("percentiles out of order (min {min}, p50 {p50}, p95 {p95}, max {max})")
+        })
     }
 }
 

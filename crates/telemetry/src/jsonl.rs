@@ -8,6 +8,7 @@
 //!
 //! [`HistogramSummary`]: crate::hist::HistogramSummary
 
+use crate::json::{self, escape, Field};
 use crate::recorder::TraceRecorder;
 
 /// Render every span and counter as one JSON object per line.
@@ -17,14 +18,22 @@ pub fn events_jsonl(rec: &TraceRecorder) -> String {
         out.push_str(&format!(
             "{{\"type\": \"span\", \"pid\": {}, \"tid\": {}, \"name\": \"{}\", \
              \"start_ns\": {}, \"end_ns\": {}}}\n",
-            s.track.pid, s.track.tid, s.name, s.start_ns, s.end_ns
+            s.track.pid,
+            s.track.tid,
+            escape(s.name),
+            s.start_ns,
+            s.end_ns
         ));
     }
     for c in rec.counters() {
         out.push_str(&format!(
             "{{\"type\": \"counter\", \"pid\": {}, \"tid\": {}, \"name\": \"{}\", \
              \"t_ns\": {}, \"value\": {}}}\n",
-            c.track.pid, c.track.tid, c.name, c.t_ns, c.value
+            c.track.pid,
+            c.track.tid,
+            escape(c.name),
+            c.t_ns,
+            c.value
         ));
     }
     out
@@ -33,35 +42,18 @@ pub fn events_jsonl(rec: &TraceRecorder) -> String {
 /// Render the recorder's histograms as one JSON object:
 /// `{"metrics": {"<name>": {count, min, max, mean, p50, p95}, ...}}`.
 pub fn summary_json(rec: &TraceRecorder) -> String {
-    let mut out = String::from("{\"metrics\": {");
-    for (i, (metric, hist)) in rec.histograms().iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!("\"{}\": {}", metric, hist.summary().to_json()));
-    }
-    out.push_str("}}\n");
-    out
+    let metrics = rec
+        .histograms()
+        .iter()
+        .map(|(metric, hist)| (*metric, hist.summary().value()));
+    json::write(&json::object([("metrics", json::object(metrics))]))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::json;
-    use crate::recorder::{Recorder, Track};
-
-    #[test]
-    fn every_jsonl_line_parses() {
-        let mut rec = TraceRecorder::new();
-        rec.span(Track::sim_proc(1), "left-token", 0, 32_000);
-        rec.counter(Track::sim_proc(1), "queue-depth", 10, 2);
-        let text = events_jsonl(&rec);
-        assert_eq!(text.lines().count(), 2);
-        for line in text.lines() {
-            let v = json::parse(line).expect("line parses");
-            assert!(v.get("type").is_some());
-        }
-    }
+    use crate::recorder::Recorder;
 
     #[test]
     fn summary_reports_percentiles() {
@@ -69,21 +61,9 @@ mod tests {
         for v in [1, 2, 3, 4, 100] {
             rec.sample("acts-per-bucket", v);
         }
-        let text = summary_json(&rec);
-        let doc = json::parse(&text).unwrap();
-        let m = doc
-            .get("metrics")
-            .and_then(|m| m.get("acts-per-bucket"))
-            .expect("metric present");
-        assert_eq!(m.get("count").and_then(|v| v.as_f64()), Some(5.0));
-        assert_eq!(m.get("p95").and_then(|v| v.as_f64()), Some(100.0));
-        assert_eq!(m.get("p50").and_then(|v| v.as_f64()), Some(3.0));
-    }
-
-    #[test]
-    fn empty_recorder_summary_is_valid() {
-        let rec = TraceRecorder::new();
         let doc = json::parse(&summary_json(&rec)).unwrap();
-        assert!(doc.get("metrics").is_some());
+        let metrics: json::Value = doc.field("metrics").unwrap();
+        let m: crate::HistogramSummary = metrics.field("acts-per-bucket").unwrap();
+        assert_eq!((m.count, m.p50, m.p95), (5, 3, 100));
     }
 }

@@ -29,8 +29,9 @@
 //! * a JSONL event stream plus a JSON summary of histogram percentiles
 //!   ([`jsonl`]).
 //!
-//! [`json`] is a dependency-free JSON parser used to validate exported
-//! artifacts in tests and CI without pulling in a schema library.
+//! [`json`] is the dependency-free JSON parser and writer behind every
+//! exported document: [`record!`] types render through one writer and are
+//! read back, type-checked, by the same declaration.
 //!
 //! [`metrics`] extends the same discipline down into the match kernel:
 //! instrumented match code is generic over a [`MetricSink`]

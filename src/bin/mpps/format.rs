@@ -9,6 +9,7 @@ use mpps::core::sweep::SpeedupPoint;
 use mpps::mpcsim::telemetry::TraceRecorder;
 use mpps::mpcsim::SimTime;
 use mpps::rete::Trace;
+use mpps::telemetry::json::{self, Field, Value};
 
 /// How the simulate summary is rendered.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -70,25 +71,25 @@ impl SimulateSummary<'_> {
     }
 
     fn render_json(&self) -> String {
-        let stats = self.trace.stats();
-        let points: Vec<String> = self
-            .points
-            .iter()
-            .map(|p| {
-                format!(
-                    "{{\"processors\": {}, \"time_us\": {:.1}, \"speedup\": {:.2}}}",
-                    p.processors, p.total_us, p.speedup
-                )
-            })
-            .collect();
-        format!(
-            "{{\"trace\": {{\"cycles\": {}, \"activations\": {}}}, \
-             \"serial_match_us\": {:.1}, \"points\": [{}]}}\n",
-            self.trace.cycles.len(),
-            stats.total(),
-            self.serial_total.as_us(),
-            points.join(", ")
-        )
+        let point = |p: &SpeedupPoint| {
+            json::object([
+                ("processors", (p.processors as u64).value()),
+                ("time_us", p.total_us.value()),
+                ("speedup", p.speedup.value()),
+            ])
+        };
+        let trace = json::object([
+            ("cycles", (self.trace.cycles.len() as u64).value()),
+            ("activations", (self.trace.stats().total() as u64).value()),
+        ]);
+        json::write(&json::object([
+            ("trace", trace),
+            ("serial_match_us", self.serial_total.as_us().value()),
+            (
+                "points",
+                Value::Array(self.points.iter().map(point).collect()),
+            ),
+        ]))
     }
 }
 

@@ -396,6 +396,13 @@ fn threaded_stats_prints_worker_lines() {
     assert!(stderr.contains("worker 1:"), "{stderr}");
 }
 
+/// Validate `DIR/match_profile.json` with the profile checker.
+fn checked_profile(dir: &std::path::Path) -> String {
+    let text = std::fs::read_to_string(dir.join("match_profile.json")).unwrap();
+    let doc = mpps::telemetry::json::parse(&text).expect("profile parses as JSON");
+    mpps::core::check_profile(&doc).unwrap()
+}
+
 #[test]
 fn run_profile_keeps_stdout_identical_and_writes_schema_valid_profile() {
     let dir = std::env::temp_dir().join(format!("mpps-cli-profile-{}", std::process::id()));
@@ -425,19 +432,11 @@ fn run_profile_keeps_stdout_identical_and_writes_schema_valid_profile() {
         // Profiling must not change what the run prints.
         assert_eq!(plain.stdout, profiled.stdout, "{matcher}: stdout diverged");
 
-        let text = std::fs::read_to_string(prof_dir.join("match_profile.json")).unwrap();
-        let doc = mpps::telemetry::json::parse(&text).expect("profile parses as JSON");
-        assert_eq!(
-            doc.get("schema").and_then(|v| v.as_str()),
-            Some("mpps.match_profile.v1"),
-            "{matcher}"
-        );
-        let acts = doc
-            .get("totals")
-            .and_then(|t| t.get("activations"))
-            .and_then(|v| v.as_u64())
-            .unwrap();
-        assert!(acts > 0, "{matcher}: no activations in profile");
+        let report = checked_profile(&prof_dir);
+        assert!(!report.contains(", 0 activations"), "{matcher}: {report}");
+        if matcher == "threaded" {
+            assert!(report.contains("2 worker lanes"), "{report}");
+        }
     }
     // The threaded run also exports the merged Chrome-trace lanes.
     let trace = std::fs::read_to_string(dir.join("threaded").join("trace.json")).unwrap();
@@ -491,19 +490,9 @@ fn fuzz_profile_writes_merged_replay_profile() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let text = std::fs::read_to_string(dir.join("match_profile.json")).unwrap();
-    let doc = mpps::telemetry::json::parse(&text).expect("profile parses as JSON");
-    assert_eq!(
-        doc.get("matcher").and_then(|v| v.as_str()),
-        Some("fuzz-replay")
-    );
-    assert!(
-        doc.get("totals")
-            .and_then(|t| t.get("activations"))
-            .and_then(|v| v.as_u64())
-            .unwrap()
-            > 0
-    );
+    let report = checked_profile(&dir);
+    assert!(report.contains("matcher \"fuzz-replay\""), "{report}");
+    assert!(!report.contains(", 0 activations"), "{report}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
