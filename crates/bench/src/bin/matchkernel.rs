@@ -22,13 +22,8 @@
 //! `--max-regress` (default 10%) against the committed medians — absolute
 //! µs recorded on another host, so the gate measures host noise as much
 //! as the kernel (see ROADMAP).
-//!
-//! `--out` additionally runs the closed-skew-loop scenario
-//! ([`mpps_bench::adapt`]: Tourney cross-product, 8 workers, suggested
-//! copy-and-constraint + online migration vs static greedy) and records
-//! its before/after skew factors in the manifest's `"adapt"` block.
 
-use mpps_bench::manifest::{self, AdaptRecord, KernelSection, Matchkernel};
+use mpps_bench::manifest::{self, KernelSection, Matchkernel};
 use mpps_bench::sections::sections;
 use mpps_bench::Argv;
 use mpps_ops::Matcher;
@@ -87,24 +82,6 @@ fn measure(samples: usize) -> Vec<KernelSection> {
         .collect()
 }
 
-/// The manifest's `"adapt"` block: the closed skew loop's before/after
-/// numbers (see [`mpps_bench::adapt`]).
-fn adapt_record() -> AdaptRecord {
-    let report = mpps_bench::adapt::measure(&mpps_bench::adapt::AdaptScenario::default());
-    AdaptRecord {
-        workload: "tourney-cross".into(),
-        workers: report.workers as u64,
-        probe_skew_static: report.static_skew(),
-        probe_skew_adaptive: report.adaptive_skew(),
-        skew_reduction: report.reduction(),
-        bucket_skew_static: report.static_bucket_skew,
-        bucket_skew_adaptive: report.adaptive_bucket_skew,
-        rebalances: report.rebalances as u64,
-        plan: report.plan_summary,
-        equivalent: report.equivalent,
-    }
-}
-
 const USAGE: &str =
     "usage: matchkernel [--out PATH] [--check] [--max-regress FRACTION] [--samples N]";
 
@@ -137,14 +114,7 @@ fn main() {
 
     if let Some(path) = out {
         let sections = results.clone();
-        manifest::write_or_exit(
-            "matchkernel",
-            &path,
-            Matchkernel {
-                sections,
-                adapt: adapt_record(),
-            },
-        );
+        manifest::write_or_exit("matchkernel", &path, Matchkernel { sections });
     }
 
     if check {

@@ -20,7 +20,6 @@
 //! repro shared-bus     # §5.2 comparison vs the shared-bus mapping
 //! repro termination-cost # pricing ring-token termination detection
 //! repro era            # §1 motivation: first- vs new-generation MPCs
-//! repro adapt          # closed skew loop: copy-and-constraint + online migration
 //! ```
 //!
 //! All selected figures contribute their simulation points to **one**
@@ -65,7 +64,6 @@ const FIGURES: &[&str] = &[
     "shared-bus",
     "termination-cost",
     "era",
-    "adapt",
 ];
 
 fn curve_points(curve: &[SpeedupPoint]) -> Vec<(f64, f64)> {
@@ -143,7 +141,6 @@ fn render_figure(name: &str, ids: &FigPlan, s: &exp::Sections, r: &SweepResults)
             termination_cost(&exp::render_termination_cost(p, r))
         }
         ("era", FigPlan::Era(p)) => era(&exp::render_era_comparison(p, r)),
-        ("adapt", _) => adapt_figure(),
         _ => unreachable!("figure {name} planned inconsistently"),
     }
 }
@@ -466,51 +463,6 @@ fn era(rows_in: &[(&'static str, f64, f64)]) {
             ],
             &rows,
         )
-    );
-}
-
-/// The closed skew loop, run live (no sweep points): profiled pre-run →
-/// `suggest_plan` copy-and-constraint → online migration, before/after
-/// on the Tourney cross-product. Stdout sticks to run-invariant facts
-/// (bucket-activation counts are order-invariant; exact per-worker probe
-/// loads shift by a few entries with thread interleaving, so the precise
-/// ratio goes to stderr to keep `--jobs` diffs byte-identical).
-fn adapt_figure() {
-    use mpps_bench::adapt::{measure, AdaptScenario};
-    let report = measure(&AdaptScenario::default());
-    println!(
-        "Closed skew loop: copy-and-constraint + online migration (Tourney cross-product, {} workers)\n",
-        report.workers
-    );
-    println!("  transform plan: {}", report.plan_summary);
-    match (report.static_bucket_skew, report.adaptive_bucket_skew) {
-        (Some(b), Some(a)) => println!("  bucket-activation skew factor: {b:.3} -> {a:.3}"),
-        _ => println!("  bucket-activation skew factor: unavailable"),
-    }
-    println!(
-        "  probe-load skew at least halved: {}",
-        if report.adaptive_skew() * 2.0 <= report.static_skew() {
-            "yes"
-        } else {
-            "NO"
-        }
-    );
-    println!(
-        "  online migration rebalanced the partition: {}",
-        if report.rebalances > 0 { "yes" } else { "NO" }
-    );
-    println!(
-        "  threaded == sequential: {} ({} firings)\n",
-        if report.equivalent { "yes" } else { "NO" },
-        report.firings
-    );
-    eprintln!(
-        "repro adapt: probe skew static {:.3} -> adaptive {:.3} ({:.2}x, {} rebalances, {} buckets moved)",
-        report.static_skew(),
-        report.adaptive_skew(),
-        report.reduction(),
-        report.rebalances,
-        report.moved_buckets
     );
 }
 

@@ -133,11 +133,9 @@ impl Bench for Repro {
 }
 
 record! {
-    /// `BENCH_matchkernel.json`: per-section kernel medians and the closed
-    /// skew loop.
+    /// `BENCH_matchkernel.json`: per-section kernel medians.
     pub struct Matchkernel {
         pub sections: Vec<KernelSection>,
-        pub adapt: AdaptRecord,
     }
 }
 
@@ -163,41 +161,13 @@ record! {
     }
 }
 
-record! {
-    /// The closed skew loop (see [`crate::adapt`]): probe-load skew static
-    /// → adaptive and their ratio, bucket skews, rebalances, the transform
-    /// plan, and whether both threaded runs matched the sequential one.
-    pub struct AdaptRecord {
-        pub workload: String,
-        pub workers: u64,
-        pub probe_skew_static: f64,
-        pub probe_skew_adaptive: f64,
-        pub skew_reduction: f64,
-        pub bucket_skew_static: Option<f64>,
-        pub bucket_skew_adaptive: Option<f64>,
-        pub rebalances: u64,
-        pub plan: String,
-        pub equivalent: bool,
-    }
-    check(a) {
-        ensure(a.workers > 0, || "workers must be at least 1".into())?;
-        let ratio = a.probe_skew_static / a.probe_skew_adaptive;
-        ensure(a.probe_skew_adaptive > 0.0 && near(a.skew_reduction, ratio), || {
-            format!("skew_reduction {} is not the probe skew ratio", a.skew_reduction)
-        })
-    }
-}
-
 impl Bench for Matchkernel {
     const TAG: &'static str = "matchkernel";
 
     fn check(&self) -> Result<String, String> {
         ensure(!self.sections.is_empty(), || "no sections measured".into())?;
-        let (sections, a) = (self.sections.len(), &self.adapt);
-        let (before, after) = (a.probe_skew_static, a.probe_skew_adaptive);
-        Ok(format!(
-            "matchkernel manifest ok: {sections} sections, adapt skew {before} -> {after}"
-        ))
+        let sections = self.sections.len();
+        Ok(format!("matchkernel manifest ok: {sections} sections"))
     }
 }
 
@@ -505,10 +475,7 @@ mod tests {
     const MATCHKERNEL: &str = r#"{"bench": "matchkernel", "commit": "deadbeef",
         "machine": {"os": "linux", "arch": "x86_64", "cpus": 2}, "sections": [
         {"name": "rubik", "compile_us": 148.92, "total_us": 315.82, "pre_rework_us": 738.10, "speedup": 2.34},
-        {"name": "weaver", "compile_us": 2.92, "total_us": 48.65, "pre_rework_us": 217.96, "speedup": 4.48}],
-        "adapt": {"workload": "tourney-cross", "workers": 8, "probe_skew_static": 3.464,
-          "probe_skew_adaptive": 1.375, "skew_reduction": 2.52, "bucket_skew_static": 19.139,
-          "bucket_skew_adaptive": null, "rebalances": 4, "plan": "split", "equivalent": true}}"#;
+        {"name": "weaver", "compile_us": 2.92, "total_us": 48.65, "pre_rework_us": 217.96, "speedup": 4.48}]}"#;
 
     const SERVER: &str = r#"{"bench": "server", "commit": "deadbeef",
         "machine": {"os": "linux", "arch": "x86_64", "cpus": 2},
@@ -567,9 +534,6 @@ mod tests {
         repro | "count": 6 => "count": 7 | figures: [2]: "era": sim_wall_ns counts 7 points
         repro | "count": 6 => "count": 7 ; "points_added": 6 => "points_added": 7 | sum to 31, not points 30
         matchkernel | "speedup": 2.34 => "speedup": 3 | sections: [0]: "rubik": speedup 3 is not
-        matchkernel | "skew_reduction": 2.52 => "skew_reduction": 9 | adapt: skew_reduction 9 is not
-        matchkernel | "workers": 8 => "workers": 0 | adapt: workers must be at least 1
-        matchkernel | "equivalent": true => "equivalent": 1 | equivalent: not a boolean
         server | "failures": 0 => "failures": 7 | tiers: [0]: run had failures
         server | "p95_cycle_ns": 2100 => "p95_cycle_ns": 10 | tiers: [0]: p95 10 below p50 900
         server | "sessions": 10000 => "sessions": 1000 | tiers must grow (sessions 1000)

@@ -35,9 +35,7 @@ pub mod termination;
 pub mod threaded;
 
 pub use cost::{CostModel, OverheadSetting, NECTAR_LATENCY};
-pub use partition::{
-    bucket_activity, cycle_bucket_activity, cycle_bucket_work, load_skew, Partition,
-};
+pub use partition::{bucket_activity, cycle_bucket_activity, cycle_bucket_work, Partition};
 pub use profile::{bucket_skew_factor, check_profile, render_match_profile, PROFILE_SCHEMA};
 pub use sharedbus::{shared_bus_simulate, SharedBusConfig, SharedBusReport};
 pub use simexec::{
@@ -49,7 +47,4 @@ pub use sweep::{
     overhead_sweep, overhead_sweep_jobs, speedup_curve, speedup_curve_jobs, PartitionSpec,
     PartitionStrategy, PointId, PointSpec, SpeedupPoint, SweepPlan, SweepResults, TraceId,
 };
-pub use threaded::{
-    name_threaded_tracks, AdaptOptions, MigrationStats, RebalanceEvent, ThreadedMatcher,
-    ThreadedStats, WorkerStats,
-};
+pub use threaded::{name_threaded_tracks, ThreadedMatcher, ThreadedStats, WorkerStats};

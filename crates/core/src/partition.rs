@@ -110,17 +110,6 @@ impl Partition {
     }
 }
 
-/// Load-skew factor of a per-processor load vector: max/mean (1.0 =
-/// perfectly balanced). Zero total load reports 1.0 — nothing to balance.
-pub fn load_skew(loads: &[u64]) -> f64 {
-    let total: u64 = loads.iter().sum();
-    if total == 0 || loads.is_empty() {
-        return 1.0;
-    }
-    let max = *loads.iter().max().unwrap() as f64;
-    max / (total as f64 / loads.len() as f64)
-}
-
 /// Per-bucket two-input activation counts over a whole trace — the
 /// "detailed trace of the activity in each bucket" the paper's offline
 /// greedy algorithm was given.

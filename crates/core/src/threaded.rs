@@ -19,7 +19,8 @@
 //! robin, seeded random, or the §5.2.2 offline greedy), shared verbatim
 //! with the trace-driven simulator, so the distribution experiments run on
 //! real threads. [`ThreadedMatcher::with_partition`] takes any partition;
-//! [`ThreadedMatcher::new`] defaults to round robin.
+//! [`ThreadedMatcher::new`] defaults to round robin. Ownership is fixed
+//! for the matcher's lifetime, as in the paper's static mapping.
 //!
 //! **Termination detection.** The paper explicitly deferred this ("we do
 //! not simulate termination detection … the subject of future work"). A
@@ -55,9 +56,7 @@ use mpps_ops::{
     Value, Wme, WmeChange, WmeId,
 };
 use mpps_rete::kernel::{self, Kernel, RootWork, Work};
-use mpps_rete::{
-    FlatToken, LeftEntry, NodeId, ReteNetwork, RightEntry, ShardedMemories, TokenStore,
-};
+use mpps_rete::{FlatToken, NodeId, ReteNetwork, ShardedMemories};
 use mpps_telemetry::recorder::THREADED_PID;
 use mpps_telemetry::{MetricSink, MetricsRegistry, NullMetrics, Recorder, TraceRecorder, Track};
 use std::collections::hash_map::Entry;
@@ -121,42 +120,10 @@ enum WireWork {
     },
 }
 
-/// A stored memory entry crossing a shard boundary during a barrier-time
-/// bucket migration. Left tokens travel flat (self-contained value chain)
-/// and are re-interned by the adopting worker's arena; the stored
-/// `neg_count` moves verbatim because the right bucket it was derived from
-/// migrates in the same batch.
-enum MigratedEntry {
-    Left {
-        node: NodeId,
-        key_hash: u64,
-        flat: FlatToken,
-        neg_count: u32,
-    },
-    Right {
-        node: NodeId,
-        key_hash: u64,
-        wme_id: WmeId,
-        wme: Arc<Wme>,
-    },
-}
-
 enum ToWorker {
     Work(Vec<WireWork>),
     /// Ask the worker to export its metrics registry (between cycles).
     Report,
-    /// Rebind bucket ownership (between cycles): swap in the new partition
-    /// and shard layout, keep still-owned buckets in place, and export the
-    /// lost buckets' entries to the coordinator for rerouting.
-    Migrate {
-        partition: Arc<Partition>,
-        slot_of: Arc<Vec<u32>>,
-        shard_len: usize,
-    },
-    /// Entries migrated from other workers' shards, to be interned into
-    /// this worker's (already rebuilt) shard. Channel FIFO guarantees this
-    /// lands after the worker's own `Migrate` and before any later `Work`.
-    Adopt(Vec<MigratedEntry>),
     Shutdown,
     /// Test-only: make the receiving worker panic mid-run, simulating a
     /// crash inside the match kernel.
@@ -173,13 +140,6 @@ enum ToCoordinator {
     /// Reply to [`ToWorker::Report`]: the worker's exported metrics.
     Metrics {
         registry: Box<MetricsRegistry>,
-    },
-    /// Reply to [`ToWorker::Migrate`]: entries this worker no longer owns,
-    /// grouped by new owner. Routed through the coordinator — collecting
-    /// every reply before dispatching `Adopt` batches is the barrier that
-    /// keeps an export from racing ahead of its new owner's own `Migrate`.
-    Migrated {
-        exports: Vec<(usize, Vec<MigratedEntry>)>,
     },
 }
 
@@ -239,66 +199,6 @@ pub struct ThreadedStats {
     pub conflict_entries: usize,
 }
 
-/// What a barrier-time migration moved (see [`ThreadedMatcher::migrate_to`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MigrationStats {
-    /// Buckets whose owner changed.
-    pub moved_buckets: u64,
-    /// Left (beta-token) entries shipped between shards.
-    pub moved_left: u64,
-    /// Right (WME) entries shipped between shards.
-    pub moved_right: u64,
-}
-
-/// Tuning for the online repartitioner (see
-/// [`ThreadedMatcher::enable_adaptation`]).
-#[derive(Clone, Copy, Debug)]
-pub struct AdaptOptions {
-    /// Re-evaluate the partition every this many cycles.
-    pub every: u64,
-    /// Only migrate when the per-worker load-skew factor (max/mean of the
-    /// activation deltas since the last evaluation) exceeds this.
-    pub skew_threshold: f64,
-}
-
-impl Default for AdaptOptions {
-    fn default() -> Self {
-        AdaptOptions {
-            every: 4,
-            skew_threshold: 1.25,
-        }
-    }
-}
-
-/// One automatic rebalance performed by the online repartitioner.
-#[derive(Clone, Copy, Debug)]
-pub struct RebalanceEvent {
-    /// Match cycle after which the migration ran.
-    pub cycle: u64,
-    /// Per-worker load skew (max/mean) before, under the old partition.
-    pub skew_before: f64,
-    /// Projected per-worker load skew under the new partition.
-    pub skew_after: f64,
-    /// Buckets whose owner changed.
-    pub moved_buckets: u64,
-    /// Memory entries shipped between shards.
-    pub moved_entries: u64,
-    /// The hottest single bucket's share of the window's activations.
-    /// When this exceeds `1/workers`, migration alone cannot balance the
-    /// load — one bucket saturates its owner — and the caller should split
-    /// the hot node with a network rewrite (copy-and-constraint).
-    pub hot_bucket_share: f64,
-}
-
-/// Coordinator-side state of the online repartitioner.
-struct AdaptState {
-    options: AdaptOptions,
-    /// Cumulative per-bucket activation counts at the last evaluation.
-    last_buckets: Vec<u64>,
-    /// Every rebalance performed so far.
-    events: Vec<RebalanceEvent>,
-}
-
 struct Worker<M: MetricSink = NullMetrics> {
     me: usize,
     network: Arc<ReteNetwork>,
@@ -338,16 +238,6 @@ impl<M: MetricSink> Worker<M> {
                 }
                 #[cfg(test)]
                 ToWorker::Poison => panic!("worker {} poisoned by test hook", self.me),
-                ToWorker::Migrate {
-                    partition,
-                    slot_of,
-                    shard_len,
-                } => {
-                    if !self.migrate(partition, slot_of, shard_len) {
-                        return;
-                    }
-                }
-                ToWorker::Adopt(batch) => self.adopt_migrated(batch),
                 ToWorker::Work(batch) => {
                     let drain_timer = M::ENABLED.then(std::time::Instant::now);
                     let mut drained: u64 = 0;
@@ -436,115 +326,6 @@ impl<M: MetricSink> Worker<M> {
                 token: self.kernel.arena.intern(&flat),
                 key_hash,
             },
-        }
-    }
-
-    /// Rebind this worker's shard to a new partition (between cycles, so
-    /// no tokens are in flight). Bucket pairs still owned move into the
-    /// rebuilt shard in place — same arena, so their `TokenId`s stay
-    /// valid; pairs lost to another worker are flattened and shipped to
-    /// the coordinator for rerouting. Returns `false` if the coordinator
-    /// is gone.
-    fn migrate(
-        &mut self,
-        partition: Arc<Partition>,
-        slot_of: Arc<Vec<u32>>,
-        shard_len: usize,
-    ) -> bool {
-        let mut exports: Vec<Vec<MigratedEntry>> =
-            (0..self.peers.len()).map(|_| Vec::new()).collect();
-        let mut new_mem = ShardedMemories::new(slot_of, shard_len);
-        for bucket in 0..self.table_size {
-            if self.partition.owner(bucket) != self.me {
-                continue;
-            }
-            let (lefts, rights) = self.kernel.mem.take_bucket(bucket);
-            let to = partition.owner(bucket);
-            if to == self.me {
-                *new_mem.left_bucket_mut(bucket) = lefts;
-                *new_mem.right_bucket_mut(bucket) = rights;
-            } else {
-                for e in lefts {
-                    let flat = self.kernel.arena.extract(e.token);
-                    self.kernel.arena.release(e.token);
-                    exports[to].push(MigratedEntry::Left {
-                        node: e.node,
-                        key_hash: e.key_hash,
-                        flat,
-                        neg_count: e.neg_count,
-                    });
-                }
-                for e in rights {
-                    exports[to].push(MigratedEntry::Right {
-                        node: e.node,
-                        key_hash: e.key_hash,
-                        wme_id: e.wme_id,
-                        wme: e.wme,
-                    });
-                }
-            }
-        }
-        self.kernel.mem = new_mem;
-        self.partition = partition;
-        let exports: Vec<(usize, Vec<MigratedEntry>)> = exports
-            .into_iter()
-            .enumerate()
-            .filter(|(_, batch)| !batch.is_empty())
-            .collect();
-        self.coordinator
-            .send(ToCoordinator::Migrated { exports })
-            .is_ok()
-    }
-
-    /// Intern entries another worker exported for buckets this worker now
-    /// owns (the shard was already rebuilt by this worker's `Migrate`).
-    fn adopt_migrated(&mut self, batch: Vec<MigratedEntry>) {
-        for entry in batch {
-            match entry {
-                MigratedEntry::Left {
-                    node,
-                    key_hash,
-                    flat,
-                    neg_count,
-                } => {
-                    debug_assert_eq!(
-                        self.partition.owner(key_hash % self.table_size),
-                        self.me,
-                        "adopted entry must target an owned bucket"
-                    );
-                    let token = self.kernel.arena.intern(&flat);
-                    self.kernel
-                        .mem
-                        .left_bucket_mut(key_hash % self.table_size)
-                        .push(LeftEntry {
-                            node,
-                            key_hash,
-                            token,
-                            neg_count,
-                        });
-                }
-                MigratedEntry::Right {
-                    node,
-                    key_hash,
-                    wme_id,
-                    wme,
-                } => {
-                    debug_assert_eq!(
-                        self.partition.owner(key_hash % self.table_size),
-                        self.me,
-                        "adopted entry must target an owned bucket"
-                    );
-                    self.kernel
-                        .mem
-                        .right_bucket_mut(key_hash % self.table_size)
-                        .push(RightEntry {
-                            node,
-                            key_hash,
-                            wme_id,
-                            wme,
-                        });
-                }
-            }
         }
     }
 
@@ -688,8 +469,6 @@ pub struct ThreadedMatcher {
     cycle_registry: MetricsRegistry,
     /// Per-cycle phase splits for Chrome-trace lane synthesis.
     cycle_splits: Vec<CycleSplit>,
-    /// Online repartitioner state (profiled matchers only).
-    adapt: Option<AdaptState>,
 }
 
 impl ThreadedMatcher {
@@ -822,7 +601,6 @@ impl ThreadedMatcher {
             profiled,
             cycle_registry: MetricsRegistry::new(),
             cycle_splits: Vec::new(),
-            adapt: None,
         }
     }
 
@@ -919,235 +697,28 @@ impl ThreadedMatcher {
         if !self.profiled {
             return Ok(merged);
         }
-        if let Some(worker) = self.failed {
-            return Err(MatchError::WorkerPanicked { worker });
-        }
-        for (w, tx) in self.workers.iter().enumerate() {
-            if tx.send(ToWorker::Report).is_err() {
-                self.failed = Some(w);
-                return Err(MatchError::WorkerPanicked { worker: w });
-            }
+        self.healthy()?;
+        for w in 0..self.workers.len() {
+            self.send(w, ToWorker::Report)?;
         }
         let mut replies = 0;
         while replies < self.workers.len() {
-            match self.from_workers.recv_timeout(LIVENESS_POLL) {
-                Ok(ToCoordinator::Metrics { registry }) => {
+            match self.recv()? {
+                ToCoordinator::Metrics { registry } => {
                     merged.merge(&registry);
                     replies += 1;
                 }
                 // No cycle is in flight, so a Prod here can only be a
                 // leftover the previous cycle already accounted for —
                 // fold it in rather than lose a conflict-set update.
-                Ok(ToCoordinator::Prod { sign, inst }) => {
+                ToCoordinator::Prod { sign, inst } => {
                     self.apply_production(sign, inst);
                     self.outstanding.fetch_sub(1, Ordering::SeqCst);
                 }
-                Ok(ToCoordinator::Quiescent) => {}
-                Ok(ToCoordinator::Migrated { .. }) => {
-                    unreachable!("migration replies are consumed by migrate_to")
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if let Some(worker) = self.dead_worker() {
-                        return Err(MatchError::WorkerPanicked { worker });
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(match self.dead_worker() {
-                        Some(worker) => MatchError::WorkerPanicked { worker },
-                        None => MatchError::Disconnected,
-                    });
-                }
+                ToCoordinator::Quiescent => {}
             }
         }
         Ok(merged)
-    }
-
-    /// Re-own buckets according to `partition` at a cycle barrier.
-    ///
-    /// Must be called *between* cycles (the matcher is quiescent, so no
-    /// tokens are queued or buffered anywhere). Every worker rebuilds its
-    /// shard under the new layout: bucket pairs it keeps move in place
-    /// (same arena — token ids stay valid), pairs it loses are flattened
-    /// and routed — via the coordinator, whose collect-all acts as the
-    /// barrier — to their new owners, which re-intern them before any
-    /// later cycle's work (channel FIFO). Works on unprofiled matchers
-    /// too; the partition must keep the same table size and worker count.
-    pub fn migrate_to(&mut self, partition: Partition) -> Result<MigrationStats, MatchError> {
-        assert_eq!(
-            partition.table_size(),
-            self.table_size,
-            "migration cannot resize the hash table"
-        );
-        assert_eq!(
-            partition.processors(),
-            self.workers.len(),
-            "migration cannot change the worker count"
-        );
-        if let Some(worker) = self.failed {
-            return Err(MatchError::WorkerPanicked { worker });
-        }
-        debug_assert_eq!(
-            self.outstanding.load(Ordering::SeqCst),
-            0,
-            "migration must run at a cycle barrier"
-        );
-        let moved_buckets = (0..self.table_size)
-            .filter(|&b| partition.owner(b) != self.partition.owner(b))
-            .count() as u64;
-        if moved_buckets == 0 {
-            return Ok(MigrationStats::default());
-        }
-        // Dense shard layout under the new ownership (same scheme as build).
-        let mut slot_of = vec![0u32; self.table_size as usize];
-        let mut shard_len = vec![0usize; self.workers.len()];
-        for b in 0..self.table_size {
-            let w = partition.owner(b);
-            slot_of[b as usize] = shard_len[w] as u32;
-            shard_len[w] += 1;
-        }
-        let slot_of = Arc::new(slot_of);
-        let partition = Arc::new(partition);
-        for (w, tx) in self.workers.iter().enumerate() {
-            let msg = ToWorker::Migrate {
-                partition: partition.clone(),
-                slot_of: slot_of.clone(),
-                shard_len: shard_len[w],
-            };
-            if tx.send(msg).is_err() {
-                self.failed = Some(w);
-                return Err(MatchError::WorkerPanicked { worker: w });
-            }
-        }
-        let mut adopt: Vec<Vec<MigratedEntry>> =
-            (0..self.workers.len()).map(|_| Vec::new()).collect();
-        let (mut moved_left, mut moved_right) = (0u64, 0u64);
-        let mut replies = 0;
-        while replies < self.workers.len() {
-            match self.from_workers.recv_timeout(LIVENESS_POLL) {
-                Ok(ToCoordinator::Migrated { exports }) => {
-                    for (to, batch) in exports {
-                        for e in &batch {
-                            match e {
-                                MigratedEntry::Left { .. } => moved_left += 1,
-                                MigratedEntry::Right { .. } => moved_right += 1,
-                            }
-                        }
-                        adopt[to].extend(batch);
-                    }
-                    replies += 1;
-                }
-                // Same leftover handling as `profile_snapshot`: no cycle is
-                // in flight, so fold stray conflict-set updates in.
-                Ok(ToCoordinator::Prod { sign, inst }) => {
-                    self.apply_production(sign, inst);
-                    self.outstanding.fetch_sub(1, Ordering::SeqCst);
-                }
-                Ok(ToCoordinator::Quiescent) => {}
-                Ok(ToCoordinator::Metrics { .. }) => {}
-                Err(RecvTimeoutError::Timeout) => {
-                    if let Some(worker) = self.dead_worker() {
-                        return Err(MatchError::WorkerPanicked { worker });
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(match self.dead_worker() {
-                        Some(worker) => MatchError::WorkerPanicked { worker },
-                        None => MatchError::Disconnected,
-                    });
-                }
-            }
-        }
-        for (to, batch) in adopt.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            if self.workers[to].send(ToWorker::Adopt(batch)).is_err() {
-                self.failed = Some(to);
-                return Err(MatchError::WorkerPanicked { worker: to });
-            }
-        }
-        self.partition = partition;
-        Ok(MigrationStats {
-            moved_buckets,
-            moved_left,
-            moved_right,
-        })
-    }
-
-    /// Turn on the online repartitioner: every `options.every` cycles the
-    /// coordinator diffs the cumulative per-bucket activation counters
-    /// (the kernel's `bucket.activations` series) against the previous
-    /// window, and when the per-worker load skew exceeds
-    /// `options.skew_threshold` it re-runs the §5.2.2 greedy (LPT)
-    /// packing over the window's activity and migrates bucket ownership at
-    /// the cycle barrier. Requires a profiled matcher — the counters feed
-    /// the decision.
-    pub fn enable_adaptation(&mut self, options: AdaptOptions) {
-        assert!(
-            self.profiled,
-            "online repartitioning needs a profiled matcher (bucket counters)"
-        );
-        assert!(options.every > 0, "adaptation period must be positive");
-        self.adapt = Some(AdaptState {
-            options,
-            last_buckets: vec![0; self.table_size as usize],
-            events: Vec::new(),
-        });
-    }
-
-    /// Every rebalance the online repartitioner has performed.
-    pub fn rebalance_events(&self) -> &[RebalanceEvent] {
-        self.adapt.as_ref().map_or(&[], |s| &s.events)
-    }
-
-    /// One evaluation of the online repartitioner (post-cycle, quiescent):
-    /// diff bucket counters, and if the load skew warrants it and greedy
-    /// can actually improve it, migrate.
-    fn maybe_rebalance(&mut self) -> Result<(), MatchError> {
-        let snapshot = self.profile_snapshot()?;
-        let mut delta = vec![0u64; self.table_size as usize];
-        let threshold = {
-            let Some(state) = self.adapt.as_mut() else {
-                return Ok(());
-            };
-            if let Some(series) = snapshot.counter(kernel::metric::BUCKET_ACTIVATIONS) {
-                for (&bucket, &count) in series {
-                    let b = bucket as usize;
-                    if b < delta.len() {
-                        delta[b] = count.saturating_sub(state.last_buckets[b]);
-                        state.last_buckets[b] = count;
-                    }
-                }
-            }
-            state.options.skew_threshold
-        };
-        let total: u64 = delta.iter().sum();
-        if total == 0 {
-            return Ok(());
-        }
-        let skew_before = crate::partition::load_skew(&self.partition.loads(&delta));
-        if skew_before <= threshold {
-            return Ok(());
-        }
-        let candidate = Partition::greedy(&delta, self.workers.len());
-        let skew_after = crate::partition::load_skew(&candidate.loads(&delta));
-        if skew_after >= skew_before {
-            return Ok(());
-        }
-        let hottest = delta.iter().copied().max().unwrap_or(0);
-        let stats = self.migrate_to(candidate)?;
-        let event = RebalanceEvent {
-            cycle: self.cycles,
-            skew_before,
-            skew_after,
-            moved_buckets: stats.moved_buckets,
-            moved_entries: stats.moved_left + stats.moved_right,
-            hot_bucket_share: hottest as f64 / total as f64,
-        };
-        if let Some(state) = self.adapt.as_mut() {
-            state.events.push(event);
-        }
-        Ok(())
     }
 
     /// Synthesize the per-cycle phase split into Chrome-trace spans: for
@@ -1180,6 +751,46 @@ impl ThreadedMatcher {
     /// (profiled matchers only; always zero otherwise).
     pub fn recorded_cycles(&self) -> usize {
         self.cycle_splits.len()
+    }
+
+    /// Fails fast once a worker has died: a poisoned matcher reports the
+    /// same error on every later call instead of touching dead channels.
+    fn healthy(&self) -> Result<(), MatchError> {
+        match self.failed {
+            Some(worker) => Err(MatchError::WorkerPanicked { worker }),
+            None => Ok(()),
+        }
+    }
+
+    /// Sends one message to `worker`; a closed inbox means it died.
+    fn send(&mut self, worker: usize, msg: ToWorker) -> Result<(), MatchError> {
+        self.workers[worker].send(msg).map_err(|_| {
+            self.failed = Some(worker);
+            MatchError::WorkerPanicked { worker }
+        })
+    }
+
+    /// The coordinator's one receive loop: waits for the next worker
+    /// message in [`LIVENESS_POLL`] slices, so a panicked worker — which
+    /// can never drain its share of the outstanding count, nor answer a
+    /// `Report` — surfaces as an error instead of a hang.
+    fn recv(&mut self) -> Result<ToCoordinator, MatchError> {
+        loop {
+            match self.from_workers.recv_timeout(LIVENESS_POLL) {
+                Ok(msg) => return Ok(msg),
+                Err(RecvTimeoutError::Timeout) => {
+                    if let Some(worker) = self.dead_worker() {
+                        return Err(MatchError::WorkerPanicked { worker });
+                    }
+                }
+                Err(RecvTimeoutError::Disconnected) => {
+                    return Err(match self.dead_worker() {
+                        Some(worker) => MatchError::WorkerPanicked { worker },
+                        None => MatchError::Disconnected,
+                    });
+                }
+            }
+        }
     }
 
     /// Returns the first dead (panicked) worker, if any, and poisons the
@@ -1260,19 +871,12 @@ impl ThreadedMatcher {
                 wall_ns,
                 per_worker,
             });
-            if let Some(every) = self.adapt.as_ref().map(|s| s.options.every) {
-                if self.cycles.is_multiple_of(every) {
-                    self.maybe_rebalance()?;
-                }
-            }
         }
         result
     }
 
     fn process_cycle_inner(&mut self, changes: &[WmeChange]) -> Result<(), MatchError> {
-        if let Some(worker) = self.failed {
-            return Err(MatchError::WorkerPanicked { worker });
-        }
+        self.healthy()?;
         self.cycles += 1;
         // Constant tests run here (the coordinator plays the part of the
         // broadcast + duplicated constant tests of §3.2); root activations
@@ -1338,47 +942,29 @@ impl ThreadedMatcher {
         }
         self.outstanding.fetch_add(total, Ordering::SeqCst);
         for (owner, batch) in batches.into_iter().enumerate() {
-            if !batch.is_empty() && self.workers[owner].send(ToWorker::Work(batch)).is_err() {
-                self.failed = Some(owner);
-                return Err(MatchError::WorkerPanicked { worker: owner });
+            if !batch.is_empty() {
+                self.send(owner, ToWorker::Work(batch))?;
             }
         }
         loop {
-            match self.from_workers.recv_timeout(LIVENESS_POLL) {
-                Ok(ToCoordinator::Prod { sign, inst }) => {
+            match self.recv()? {
+                ToCoordinator::Prod { sign, inst } => {
                     self.apply_production(sign, inst);
                     if self.outstanding.fetch_sub(1, Ordering::SeqCst) == 1 {
                         return Ok(());
                     }
                 }
-                Ok(ToCoordinator::Quiescent) => {
+                ToCoordinator::Quiescent => {
                     // A stale notification from a previous cycle is
                     // harmless: the counter is non-zero while work remains.
                     if self.outstanding.load(Ordering::SeqCst) == 0 {
                         return Ok(());
                     }
                 }
-                Ok(ToCoordinator::Metrics { .. }) => {
-                    // Metrics replies are only solicited between cycles
-                    // (`profile_snapshot` drains them); a stray one here
-                    // carries no work accounting and is safely dropped.
-                }
-                Ok(ToCoordinator::Migrated { .. }) => {
-                    unreachable!("migration replies are consumed by migrate_to")
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    // A panicked worker can never drain its share of the
-                    // outstanding count; surface it instead of hanging.
-                    if let Some(worker) = self.dead_worker() {
-                        return Err(MatchError::WorkerPanicked { worker });
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(match self.dead_worker() {
-                        Some(worker) => MatchError::WorkerPanicked { worker },
-                        None => MatchError::Disconnected,
-                    });
-                }
+                // Metrics replies are only solicited between cycles
+                // (`profile_snapshot` drains them); a stray one here
+                // carries no work accounting and is safely dropped.
+                ToCoordinator::Metrics { .. } => {}
             }
         }
     }
@@ -2011,241 +1597,5 @@ mod tests {
         prof.process(&[del(1, w)]);
         assert_eq!(prof.conflict_set().len(), 31);
         assert_eq!(prof.recorded_cycles(), 2);
-    }
-
-    #[test]
-    fn migrate_to_same_partition_is_a_noop() {
-        let prog = parse_program(BLUE).unwrap();
-        let network = ReteNetwork::compile(&prog).unwrap();
-        let partition = Partition::round_robin(64, 3);
-        let mut par = ThreadedMatcher::with_partition(network, partition.clone());
-        par.process(&blue_wmes());
-        let stats = par.migrate_to(partition).unwrap();
-        assert_eq!(stats, MigrationStats::default());
-        assert_eq!(par.conflict_set().len(), 1);
-    }
-
-    /// Migrating every bucket onto one worker and back must move the
-    /// stored token state losslessly: retractions after the round trip
-    /// still find every entry (a lost or duplicated token would panic the
-    /// kernel or diverge the conflict set).
-    #[test]
-    fn migration_round_trip_preserves_stored_state() {
-        let src = r#"
-            (p pair (slot ^v <x>) (east ^v <x>) (west ^v <x>) --> (remove 1))
-            (p lonely (node ^id <n>) -(edge ^to <n>) --> (remove 1))
-        "#;
-        let prog = parse_program(src).unwrap();
-        let mut seq = ReteMatcher::from_program(&prog).unwrap();
-        let network = ReteNetwork::compile(&prog).unwrap();
-        let mut par = ThreadedMatcher::with_partition(network, Partition::round_robin(64, 4));
-
-        let mut adds = Vec::new();
-        let mut id = 0u64;
-        for v in 0..6i64 {
-            for class in ["slot", "east", "west"] {
-                id += 1;
-                adds.push(add(id, Wme::new(class, &[("v", v.into())])));
-            }
-            id += 1;
-            adds.push(add(id, Wme::new("node", &[("id", v.into())])));
-            id += 1;
-            adds.push(add(id, Wme::new("edge", &[("to", v.into())])));
-        }
-        seq.process(&adds);
-        par.process(&adds);
-        assert_eq!(seq.conflict_set(), par.conflict_set());
-
-        // Pile everything onto worker 0, then spread it back out. The
-        // negative-node counts must survive both hops.
-        let all_on_zero = Partition::from_owners(vec![0; 64], 4);
-        let onto = par.migrate_to(all_on_zero).unwrap();
-        assert!(onto.moved_buckets > 0);
-        assert!(
-            onto.moved_left + onto.moved_right > 0,
-            "stored entries must travel: {onto:?}"
-        );
-        let back = par.migrate_to(Partition::round_robin(64, 4)).unwrap();
-        assert!(back.moved_buckets > 0);
-
-        // Retract every WME: every migrated entry must be found again.
-        let removes: Vec<WmeChange> = adds
-            .iter()
-            .map(|c| WmeChange::remove(c.id, c.wme.clone()))
-            .collect();
-        seq.process(&removes);
-        par.process(&removes);
-        assert_eq!(seq.conflict_set(), par.conflict_set());
-        assert!(par.conflict_set().is_empty());
-    }
-
-    /// Negative-node counts co-migrate with their bucket pair: flipping a
-    /// negation *after* a migration must produce exactly the sequential
-    /// conflict set.
-    #[test]
-    fn negation_flips_correctly_after_migration() {
-        let src = "(p lonely (node ^id <n>) -(edge ^to <n>) --> (remove 1))";
-        let prog = parse_program(src).unwrap();
-        let mut seq = ReteMatcher::from_program(&prog).unwrap();
-        let network = ReteNetwork::compile(&prog).unwrap();
-        let mut par = ThreadedMatcher::with_partition(network, Partition::round_robin(64, 4));
-        let e7 = Wme::new("edge", &[("to", 7.into())]);
-        let first = vec![
-            add(1, Wme::new("node", &[("id", 7.into())])),
-            add(2, Wme::new("node", &[("id", 8.into())])),
-            add(3, e7.clone()),
-        ];
-        seq.process(&first);
-        par.process(&first);
-        assert_eq!(seq.conflict_set(), par.conflict_set());
-
-        par.migrate_to(Partition::from_owners(vec![3; 64], 4))
-            .unwrap();
-
-        // Deleting the edge flips the blocked token live; the migrated
-        // neg_count is what makes this transition fire exactly once.
-        let second = vec![del(3, e7)];
-        seq.process(&second);
-        par.process(&second);
-        assert_eq!(seq.conflict_set(), par.conflict_set());
-        assert_eq!(par.conflict_set().len(), 2);
-    }
-
-    /// Migration-under-load stress: a cross-product-heavy workload with
-    /// racing adds/deletes, re-partitioned between *every* cycle through
-    /// rotating strategies. The ownership map and stored tokens must stay
-    /// consistent — any loss or double-count diverges from the sequential
-    /// engine or panics a kernel assert.
-    #[test]
-    fn migration_under_load_stress() {
-        let src = r#"
-            (p pair (slot ^v <x>) (east ^v <x>) (west ^v <x>) --> (remove 1))
-            (p lonely (node ^id <n>) -(edge ^to <n>) --> (remove 1))
-        "#;
-        let prog = parse_program(src).unwrap();
-        for seed in 0..stress_iterations() {
-            let values = 3 + (seed % 4) as i64;
-            let mut seq = ReteMatcher::from_program(&prog).unwrap();
-            let network = ReteNetwork::compile(&prog).unwrap();
-            let mut par = ThreadedMatcher::with_partition(network, Partition::round_robin(64, 4));
-
-            let mut id = 0u64;
-            let mut first = Vec::new();
-            for v in 0..values {
-                for class in ["slot", "east", "west"] {
-                    id += 1;
-                    first.push(add(id, Wme::new(class, &[("v", v.into())])));
-                }
-                id += 1;
-                first.push(add(id, Wme::new("node", &[("id", v.into())])));
-                if v % 2 == 0 {
-                    id += 1;
-                    first.push(add(id, Wme::new("edge", &[("to", v.into())])));
-                }
-            }
-            // Racing batch: delete the even-value east/west WMEs and the
-            // edges, re-add fresh WMEs with the same join values.
-            let mut second = Vec::new();
-            for c in &first {
-                let class = c.wme.class();
-                let even = c
-                    .wme
-                    .get(mpps_ops::intern("v"))
-                    .or_else(|| c.wme.get(mpps_ops::intern("to")))
-                    .is_some_and(|v| matches!(v, mpps_ops::Value::Int(n) if n % 2 == 0));
-                if even
-                    && (class == mpps_ops::intern("east")
-                        || class == mpps_ops::intern("west")
-                        || class == mpps_ops::intern("edge"))
-                {
-                    second.push(WmeChange::remove(c.id, c.wme.clone()));
-                }
-            }
-            for v in (0..values).step_by(2) {
-                id += 1;
-                second.push(add(id, Wme::new("east", &[("v", v.into())])));
-                id += 1;
-                second.push(add(id, Wme::new("west", &[("v", v.into())])));
-            }
-            let partitions = [
-                Partition::random(64, 4, seed),
-                Partition::from_owners(vec![(seed % 4) as u32; 64], 4),
-                Partition::round_robin(64, 4),
-            ];
-            for (i, batch) in [&first, &second].into_iter().enumerate() {
-                seq.process(batch);
-                par.try_process(batch).expect("workers healthy");
-                assert_eq!(
-                    seq.conflict_set(),
-                    par.conflict_set(),
-                    "diverged at seed {seed} batch {i}"
-                );
-                par.migrate_to(partitions[(seed as usize + i) % partitions.len()].clone())
-                    .expect("migration at the barrier");
-                // Ownership changed but state didn't: still equivalent.
-                assert_eq!(
-                    seq.conflict_set(),
-                    par.conflict_set(),
-                    "migration changed the conflict set at seed {seed} batch {i}"
-                );
-            }
-        }
-    }
-
-    /// The online repartitioner: starting from a deliberately terrible
-    /// partition (every bucket on worker 0), the skew counters must
-    /// trigger a greedy re-pack and migrate at the barrier, after which
-    /// the matcher remains equivalent to the sequential engine.
-    #[test]
-    fn adaptive_repartitioner_rebalances_and_stays_equivalent() {
-        let src = "(p j3 (a ^v <x>) (b ^v <x>) (c ^v <x>) --> (remove 1))";
-        let prog = parse_program(src).unwrap();
-        let mut seq = ReteMatcher::from_program(&prog).unwrap();
-        let network = ReteNetwork::compile(&prog).unwrap();
-        let mut par = ThreadedMatcher::with_partition_profiled(
-            network,
-            Partition::from_owners(vec![0; 64], 4),
-        );
-        par.enable_adaptation(AdaptOptions {
-            every: 1,
-            skew_threshold: 1.5,
-        });
-
-        let mut changes = Vec::new();
-        let mut id = 0u64;
-        for v in 0..32i64 {
-            for class in ["a", "b", "c"] {
-                id += 1;
-                changes.push(add(id, Wme::new(class, &[("v", v.into())])));
-            }
-        }
-        seq.process(&changes);
-        par.process(&changes);
-        assert_eq!(seq.conflict_set(), par.conflict_set());
-
-        let events = par.rebalance_events();
-        assert!(!events.is_empty(), "skewed start must trigger a rebalance");
-        let e = events[0];
-        assert!(
-            e.skew_after < e.skew_before,
-            "rebalance must project an improvement: {e:?}"
-        );
-        assert!(e.moved_buckets > 0);
-        assert!(e.hot_bucket_share > 0.0 && e.hot_bucket_share <= 1.0);
-
-        // Post-migration cycles stay equivalent (deletes probe migrated
-        // entries).
-        let removes: Vec<WmeChange> = changes
-            .iter()
-            .take(30)
-            .map(|c| WmeChange::remove(c.id, c.wme.clone()))
-            .collect();
-        seq.process(&removes);
-        par.process(&removes);
-        assert_eq!(seq.conflict_set(), par.conflict_set());
-
-        // A balanced partition should not keep re-triggering forever on
-        // the same workload shape: events stay bounded by cycles.
-        assert!(par.rebalance_events().len() as u64 <= par.stats().cycles);
     }
 }

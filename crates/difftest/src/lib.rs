@@ -5,11 +5,11 @@
 //! The workspace carries four matcher implementations that must agree on
 //! every program and every working-memory history: [`NaiveMatcher`] (the
 //! brute-force semantic reference), `ReteMatcher`, `TreatMatcher`, and the
-//! message-passing `ThreadedMatcher` — plus three derived configurations
-//! (transform-rewritten networks, and an adaptive threaded matcher that
-//! migrates bucket ownership after every change batch). Every agreement
-//! check in the workspace's integration tests runs through this crate,
-//! on generated programs and on the paper's built-in workloads alike.
+//! message-passing `ThreadedMatcher` — plus two derived configurations
+//! (sequential and threaded Rete over transform-rewritten networks).
+//! Every agreement check in the workspace's integration tests runs
+//! through this crate, on generated programs and on the paper's built-in
+//! workloads alike.
 //!
 //! The harness has three parts:
 //!
@@ -44,10 +44,8 @@ pub mod oracle;
 pub mod repro;
 pub mod shrink;
 
-use mpps_core::{AdaptOptions, Partition, ThreadedMatcher};
-use mpps_ops::{
-    Instantiation, MatchError, Matcher, NaiveMatcher, OpsError, Program, TreatMatcher, WmeChange,
-};
+use mpps_core::ThreadedMatcher;
+use mpps_ops::{Matcher, NaiveMatcher, OpsError, Program, TreatMatcher};
 use mpps_rete::{CompileOptions, EngineConfig, ReteMatcher, ReteNetwork, SplitSpec, TransformPlan};
 use std::fmt;
 use std::str::FromStr;
@@ -75,10 +73,6 @@ pub enum MatcherKind {
     ReteTransformed,
     /// Threaded Rete over the same transformed network.
     ThreadedTransformed,
-    /// Profiled threaded Rete with the online repartitioner enabled *and*
-    /// a forced bucket migration after every change batch — the
-    /// migration-consistency torture lane.
-    ThreadedAdapt,
 }
 
 impl MatcherKind {
@@ -90,16 +84,15 @@ impl MatcherKind {
         MatcherKind::Threaded,
     ];
 
-    /// Every matcher configuration, including the transformed-network and
-    /// adaptive/migrating variants. This is what `"all"` parses to.
-    pub const EXTENDED: [MatcherKind; 7] = [
+    /// Every matcher configuration, including the transformed-network
+    /// variants. This is what `"all"` parses to.
+    pub const EXTENDED: [MatcherKind; 6] = [
         MatcherKind::Naive,
         MatcherKind::Rete,
         MatcherKind::Treat,
         MatcherKind::Threaded,
         MatcherKind::ReteTransformed,
         MatcherKind::ThreadedTransformed,
-        MatcherKind::ThreadedAdapt,
     ];
 
     /// CLI/display name.
@@ -111,7 +104,6 @@ impl MatcherKind {
             MatcherKind::Threaded => "threaded",
             MatcherKind::ReteTransformed => "rete-transformed",
             MatcherKind::ThreadedTransformed => "threaded-transformed",
-            MatcherKind::ThreadedAdapt => "threaded-adapt",
         }
     }
 
@@ -139,10 +131,6 @@ impl MatcherKind {
             MatcherKind::ThreadedTransformed => {
                 let network = transformed_network(program)?;
                 Box::new(ThreadedMatcher::new(network, 2, 64))
-            }
-            MatcherKind::ThreadedAdapt => {
-                let network = ReteNetwork::compile(program)?;
-                Box::new(AdaptiveThreaded::build(network))
             }
         })
     }
@@ -240,58 +228,6 @@ fn transformed_network(program: &Program) -> Result<ReteNetwork, OpsError> {
     ReteNetwork::compile_planned(program, CompileOptions::default(), &plan)
 }
 
-/// A profiled [`ThreadedMatcher`] with the online repartitioner armed at an
-/// aggressive threshold, plus a *forced* migration through a rotating set of
-/// partitions after every change batch. Every fuzz case thus exercises the
-/// barrier-time bucket-migration protocol under live token state.
-struct AdaptiveThreaded {
-    inner: ThreadedMatcher,
-    step: u64,
-}
-
-const ADAPT_WORKERS: usize = 2;
-const ADAPT_TABLE: u64 = 64;
-
-impl AdaptiveThreaded {
-    fn build(network: ReteNetwork) -> Self {
-        let mut inner = ThreadedMatcher::new_profiled(network, ADAPT_WORKERS, ADAPT_TABLE);
-        inner.enable_adaptation(AdaptOptions {
-            every: 1,
-            skew_threshold: 1.05,
-        });
-        AdaptiveThreaded { inner, step: 0 }
-    }
-
-    fn next_partition(&mut self) -> Partition {
-        self.step += 1;
-        match self.step % 3 {
-            0 => Partition::round_robin(ADAPT_TABLE, ADAPT_WORKERS),
-            1 => Partition::from_owners(
-                vec![(self.step % ADAPT_WORKERS as u64) as u32; ADAPT_TABLE as usize],
-                ADAPT_WORKERS,
-            ),
-            _ => Partition::random(ADAPT_TABLE, ADAPT_WORKERS, self.step),
-        }
-    }
-}
-
-impl Matcher for AdaptiveThreaded {
-    fn process(&mut self, changes: &[WmeChange]) {
-        self.try_process(changes)
-            .expect("adaptive threaded matcher failed");
-    }
-
-    fn try_process(&mut self, changes: &[WmeChange]) -> Result<(), MatchError> {
-        self.inner.try_process(changes)?;
-        let partition = self.next_partition();
-        self.inner.migrate_to(partition).map(|_| ())
-    }
-
-    fn conflict_set(&self) -> Vec<Instantiation> {
-        self.inner.conflict_set()
-    }
-}
-
 impl fmt::Display for MatcherKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
@@ -308,7 +244,7 @@ impl FromStr for MatcherKind {
             .ok_or_else(|| {
                 format!(
                     "unknown matcher {s:?} (naive|rete|treat|threaded|\
-                     rete-transformed|threaded-transformed|threaded-adapt|base|all)"
+                     rete-transformed|threaded-transformed|base|all)"
                 )
             })
     }
@@ -352,17 +288,18 @@ mod tests {
 
     #[test]
     fn parse_list_all_base_and_csv() {
-        assert_eq!(MatcherKind::parse_list("all").unwrap().len(), 7);
+        assert_eq!(MatcherKind::parse_list("all").unwrap().len(), 6);
         assert_eq!(MatcherKind::parse_list("base").unwrap().len(), 4);
         assert_eq!(
             MatcherKind::parse_list("rete, treat").unwrap(),
             vec![MatcherKind::Rete, MatcherKind::Treat]
         );
         assert_eq!(
-            MatcherKind::parse_list("threaded-adapt").unwrap(),
-            vec![MatcherKind::ThreadedAdapt]
+            MatcherKind::parse_list("threaded-transformed").unwrap(),
+            vec![MatcherKind::ThreadedTransformed]
         );
         assert!(MatcherKind::parse_list("bogus").is_err());
+        assert!(MatcherKind::parse_list("threaded-adapt").is_err());
     }
 
     #[test]

@@ -135,6 +135,41 @@ impl Interpreter<NaiveMatcher> {
     }
 }
 
+/// Restored pending changes must be ones `add_wme` and `remove_wme` could
+/// have queued over `wm`: an add names a live WME equal to it, a remove
+/// names an id already handed out that is no longer live, and an id occurs
+/// at most twice — only as an add followed by its remove, the pair
+/// `take_batch` cancels (so the pair's add is no longer live either).
+/// Anything else would later hand the matcher the removal of a WME it
+/// never saw added.
+fn check_pending(
+    wm: &WorkingMemory,
+    pending: &[WmeChange],
+    count: &HashMap<WmeId, u32>,
+) -> Result<(), OpsError> {
+    let mut added = HashSet::new();
+    for c in pending {
+        let paired = count[&c.id] == 2;
+        let (what, ok) = match c.sign {
+            crate::wme::Sign::Plus => (
+                "add",
+                added.insert(c.id) && (paired || wm.get(c.id) == Some(&c.wme)),
+            ),
+            crate::wme::Sign::Minus => (
+                "remove",
+                (!paired || added.contains(&c.id)) && wm.get(c.id).is_none() && c.id < wm.next_id(),
+            ),
+        };
+        if count[&c.id] > 2 || !ok {
+            return Err(OpsError::InvalidState(format!(
+                "pending {what} of {} does not fit working memory",
+                c.id
+            )));
+        }
+    }
+    Ok(())
+}
+
 impl<M: Matcher> Interpreter<M> {
     /// Interpreter over a caller-supplied matcher (must have been built for
     /// the same `program`).
@@ -210,8 +245,6 @@ impl<M: Matcher> Interpreter<M> {
     ) -> Result<Self, OpsError> {
         // Validate before replaying anything into the matcher.
         let wm = WorkingMemory::from_parts(state.wm, state.next_id)?;
-        let mut visible: std::collections::BTreeMap<WmeId, Wme> =
-            wm.iter().map(|(id, w)| (id, w.clone())).collect();
         // A pending add+remove *pair* of one id is a WME the matcher never
         // saw (and never will: `take_batch` cancels the pair on the next
         // step) — it must not leak into the replay batch via the Minus arm.
@@ -219,6 +252,9 @@ impl<M: Matcher> Interpreter<M> {
         for c in &state.pending {
             *count.entry(c.id).or_insert(0) += 1;
         }
+        check_pending(&wm, &state.pending, &count)?;
+        let mut visible: std::collections::BTreeMap<WmeId, Wme> =
+            wm.iter().map(|(id, w)| (id, w.clone())).collect();
         for change in state.pending.iter().filter(|c| count[&c.id] == 1) {
             match change.sign {
                 crate::wme::Sign::Plus => {
@@ -869,6 +905,47 @@ mod tests {
         let r = resumed.run(10).unwrap();
         assert_eq!(r.outcome, RunOutcome::Halted);
         assert_eq!(r.fired.len(), 1);
+    }
+
+    #[test]
+    fn restore_rejects_pending_changes_that_do_not_fit_working_memory() {
+        let prog = parse_program("(p t (a) --> (halt))").unwrap();
+        let mut interp = Interpreter::new(prog.clone(), Strategy::Lex);
+        let seen = interp.wm_make("a", &[("v", 1.into())]);
+        interp.step().unwrap();
+        interp.remove_wme(seen).unwrap();
+        let cancelled = interp.wm_make("a", &[("v", 2.into())]);
+        interp.remove_wme(cancelled).unwrap();
+        let queued = interp.wm_make("a", &[("v", 3.into())]);
+        let state = interp.export_state();
+        let restore = |edit: &dyn Fn(&mut InterpreterState)| {
+            let mut s = state.clone();
+            edit(&mut s);
+            Interpreter::with_matcher_state(prog.clone(), NaiveMatcher::new(prog.clone()), s)
+        };
+        // The state as exported (a remove, a cancelled pair, an add) fits.
+        assert!(restore(&|_| {}).is_ok());
+        let a = |v: i64| Wme::new("a", &[("v", v.into())]);
+        let invalid: [&dyn Fn(&mut InterpreterState); 6] = [
+            // The add's body differs from the live WME it names.
+            &|s| s.pending[3] = WmeChange::add(queued, a(9)),
+            // The remove names a live WME.
+            &|s| s.pending[0] = WmeChange::remove(queued, a(3)),
+            // The remove names a tag not yet handed out.
+            &|s| s.pending[0] = WmeChange::remove(WmeId(99), a(1)),
+            // The pair is a remove followed by an add.
+            &|s| s.pending.swap(1, 2),
+            // One tag three times.
+            &|s| s.pending.push(WmeChange::remove(cancelled, a(2))),
+            // Two live WMEs share a tag.
+            &|s| s.wm.push((queued, a(4))),
+        ];
+        for (i, edit) in invalid.iter().enumerate() {
+            assert!(
+                matches!(restore(edit), Err(OpsError::InvalidState(_))),
+                "edit {i} was accepted"
+            );
+        }
     }
 
     #[test]

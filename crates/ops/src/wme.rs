@@ -167,13 +167,22 @@ impl WorkingMemory {
 
     /// Rebuild a working memory from live `(id, wme)` pairs and the next
     /// time tag to hand out — the restore half of session snapshotting.
-    /// `next_id` must be beyond every live id so time tags stay unique;
-    /// restored state is untrusted input, so a violation is an error.
+    /// Each id may be live once, and `next_id` must be beyond every live id
+    /// so time tags stay unique; restored state is untrusted input, so a
+    /// violation is an error.
     pub fn from_parts(
         elements: impl IntoIterator<Item = (WmeId, Wme)>,
         next_id: u64,
     ) -> Result<Self, OpsError> {
-        let elements: BTreeMap<WmeId, Wme> = elements.into_iter().collect();
+        let mut live = BTreeMap::new();
+        for (id, wme) in elements {
+            if live.insert(id, wme).is_some() {
+                return Err(OpsError::InvalidState(format!(
+                    "time tag {id} is live twice"
+                )));
+            }
+        }
+        let elements = live;
         match elements.keys().next_back() {
             Some(last) if last.0 >= next_id => Err(OpsError::InvalidState(format!(
                 "next time tag {next_id} does not exceed live time tag {last}"
@@ -234,6 +243,16 @@ mod tests {
         );
         let stale = WorkingMemory::from_parts(live(), 3);
         assert!(matches!(stale, Err(OpsError::InvalidState(_))));
+    }
+
+    #[test]
+    fn from_parts_rejects_a_time_tag_live_twice() {
+        let twice = [
+            (WmeId(3), Wme::new("a", &[])),
+            (WmeId(3), Wme::new("b", &[])),
+        ];
+        let dup = WorkingMemory::from_parts(twice, 4);
+        assert!(matches!(dup, Err(OpsError::InvalidState(_))));
     }
 
     fn block(name: &str, color: &str) -> Wme {

@@ -22,7 +22,6 @@
 //!   dummy-node fan-out splitting (§5.2.1), and copy-and-constraint
 //!   (§5.2.2).
 
-pub mod dot;
 pub mod engine;
 pub mod hashfn;
 pub mod kernel;
@@ -43,6 +42,6 @@ pub use network::{
 pub use token::{FlatToken, TokenArena, TokenId};
 pub use trace::{ActKind, ActivationId, ActivationRecord, Trace, TraceCycle, TraceStats};
 pub use transform::{
-    copy_and_constrain, rewrite, split_fanout, suggest_plan, unshare, SplitFanoutOptions,
-    SplitSpec, SuggestOptions, TransformPlan,
+    copy_and_constrain, rewrite, split_fanout, unshare, SplitFanoutOptions, SplitSpec,
+    TransformPlan,
 };

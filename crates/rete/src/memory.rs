@@ -162,19 +162,6 @@ impl ShardedMemories {
     pub fn right_len(&self) -> usize {
         self.right.iter().map(Vec::len).sum()
     }
-
-    /// Remove and return the entire left/right bucket pair at global index
-    /// `bucket`, leaving empty vectors behind. Bucket-granular migration
-    /// moves the *pair* together: negative-node counts in the left bucket
-    /// are derived from the right bucket at the same index, so splitting
-    /// the pair would strand them.
-    pub fn take_bucket(&mut self, bucket: u64) -> (Vec<LeftEntry>, Vec<RightEntry>) {
-        let slot = self.slot_of[bucket as usize] as usize;
-        (
-            std::mem::take(&mut self.left[slot]),
-            std::mem::take(&mut self.right[slot]),
-        )
-    }
 }
 
 impl TokenStore for ShardedMemories {
@@ -260,28 +247,6 @@ mod tests {
     #[should_panic(expected = "at least one bucket")]
     fn zero_buckets_rejected() {
         GlobalMemories::new(0);
-    }
-
-    #[test]
-    fn take_bucket_moves_the_pair_and_leaves_it_empty() {
-        let slot_of = Arc::new(vec![0u32, 0, 1, 1]);
-        let mut s = ShardedMemories::new(slot_of, 2);
-        s.left_bucket_mut(1).push(le(1, 7, 0));
-        s.right_bucket_mut(1).push(RightEntry {
-            node: NodeId(1),
-            key_hash: 7,
-            wme_id: WmeId(3),
-            wme: Arc::new(Wme::new("b", &[])),
-        });
-        s.left_bucket_mut(3).push(le(2, 8, 1));
-        let (lefts, rights) = s.take_bucket(1);
-        assert_eq!(lefts.len(), 1);
-        assert_eq!(rights.len(), 1);
-        assert_eq!(lefts[0].key_hash, 7);
-        assert!(s.left_bucket_mut(1).is_empty());
-        assert!(s.right_bucket_mut(1).is_empty());
-        // The other bucket is untouched.
-        assert_eq!(s.left_bucket_mut(3).len(), 1);
     }
 
     #[test]

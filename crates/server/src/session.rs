@@ -140,7 +140,7 @@ impl Session {
         let mut interp = Interpreter::with_shared_state(Arc::clone(&program), matcher, state)
             .map_err(|e| match e {
                 OpsError::InvalidState(_) => {
-                    ServerError::Snapshot(SnapshotError::Corrupt("time tags out of order"))
+                    ServerError::Snapshot(SnapshotError::Corrupt("inconsistent interpreter state"))
                 }
                 e => ServerError::Engine(e.to_string()),
             })?;

@@ -230,3 +230,66 @@ fn snapshot_with_stale_next_time_tag_is_a_typed_error() {
         Reply::Ready { .. }
     ));
 }
+
+/// A snapshot is untrusted input. Flipping any single bit of a serve
+/// session's snapshot — at quiescence, with a round pending (queued, not
+/// yet matched), or mid-round — must restore to a typed error or to a
+/// session that keeps serving, never to a state whose next request
+/// panics the match kernel.
+#[test]
+fn bit_flipped_serve_snapshots_never_panic() {
+    let program = Arc::new(serve::program());
+    let network = Arc::new(ReteNetwork::compile(&program).unwrap());
+    let fp = program_fingerprint(&program);
+    let mut session = Session::new(
+        Arc::clone(&program),
+        Arc::clone(&network),
+        Strategy::Lex,
+        ENGINE,
+        fp,
+    );
+    session.ingest(serve::initial());
+    session.ingest(serve::round(7, 0, 3));
+    session.run(serve::cycle_budget(3)).unwrap();
+    let quiescent = session.snapshot().unwrap();
+    session.ingest(serve::round(7, 1, 3));
+    assert!(session.pending_len() > 0, "the round must still be pending");
+    let pending = session.snapshot().unwrap();
+    session.run(2).unwrap();
+    let mid_round = session.snapshot().unwrap();
+
+    for (label, bytes) in [
+        ("quiescent", quiescent),
+        ("pending round", pending),
+        ("mid-round", mid_round),
+    ] {
+        let mut panicked = Vec::new();
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let restored = Session::restore(
+                    Arc::clone(&program),
+                    Arc::clone(&network),
+                    ENGINE,
+                    fp,
+                    &flipped,
+                );
+                if let Ok(mut session) = restored {
+                    session.ingest(serve::round(7, 2, 3));
+                    let _ = session.run(serve::cycle_budget(6));
+                }
+            }));
+            if outcome.is_err() {
+                panicked.push(bit);
+            }
+        }
+        assert!(
+            panicked.is_empty(),
+            "{label}: {} of {} single-bit flips panicked, first at bits {:?}",
+            panicked.len(),
+            bytes.len() * 8,
+            &panicked[..panicked.len().min(8)]
+        );
+    }
+}

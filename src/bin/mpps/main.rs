@@ -5,7 +5,7 @@
 //!          [--strategy lex|mea]
 //!          [--matcher rete|naive|treat|threaded] [--workers N] [--table-size N]
 //!          [--partition rr|random|greedy] [--seed N] [--quiet] [--stats]
-//!          [--profile DIR] [--adapt]
+//!          [--profile DIR]
 //! mpps trace <program.ops> [--wm <file.wm>] [--cycles N] [--table-size N]
 //!            [--out <file.trace>]
 //! mpps simulate <file.trace> [--procs 1,2,4,8,16,32] [--overhead 0|8|16|32]
@@ -61,16 +61,8 @@
 //! With `--matcher threaded`, `--partition` picks the bucket-ownership
 //! strategy for the real thread pool (greedy does an offline traced
 //! sequential pre-run to measure bucket activity, as in §5.2.2), and
-//! `--stats` prints per-worker activity counters to stderr.
-//!
-//! `mpps run --matcher threaded --adapt` closes the skew loop: a profiled
-//! sequential pre-run measures per-node activations and the per-bucket
-//! activation skew, `suggest_plan` derives copy-and-constraint splits
-//! (plus unsharing) for the hot cross-product nodes that bucket migration
-//! cannot spread, the transformed network runs under the threaded matcher
-//! with the online repartitioner enabled, and the before/after bucket
-//! skew factors plus every rebalance event are reported on stderr. The
-//! run's stdout is unchanged.
+//! `--stats` prints per-worker activity counters to stderr. Bucket
+//! ownership is fixed for the whole run.
 //!
 //! `mpps serve` runs the rule-engine-as-a-service layer: one compiled
 //! program multiplexed across many independent working-memory sessions on
@@ -88,19 +80,16 @@ mod format;
 use format::{stats_block, OutputFormat, SimulateSummary};
 use mpps::core::sweep::{baseline, speedup_curve_jobs, PartitionStrategy};
 use mpps::core::{
-    bucket_activity, name_machine_tracks, simulate_recorded, AdaptOptions, MappingConfig,
-    OverheadSetting, Partition, SimScratch, ThreadedMatcher,
+    bucket_activity, name_machine_tracks, simulate_recorded, MappingConfig, OverheadSetting,
+    Partition, SimScratch, ThreadedMatcher,
 };
-use mpps::core::{bucket_skew_factor, name_threaded_tracks, render_match_profile};
+use mpps::core::{name_threaded_tracks, render_match_profile};
 use mpps::difftest::{fuzz_one, profile_case, write_repro, GenConfig, MatcherKind};
 use mpps::ops::{
     parse_program, parse_wme, Interpreter, Matcher, NaiveMatcher, Program, Strategy, TreatMatcher,
     Wme,
 };
-use mpps::rete::{
-    kernel, suggest_plan, CompileOptions, EngineConfig, ReteMatcher, ReteNetwork, SuggestOptions,
-    Trace,
-};
+use mpps::rete::{EngineConfig, ReteMatcher, ReteNetwork, Trace};
 use mpps::server::{run_script, run_synthetic, ServerConfig, Sharding, SyntheticSpec};
 use mpps::telemetry::{chrome::chrome_trace, MetricsRegistry, TraceRecorder};
 use mpps::workloads::{capture_trace, rubik, serve, tourney, weaver};
@@ -115,7 +104,7 @@ const USAGE_LINES: &[(&str, &str)] = &[
          \x20          [--strategy lex|mea]\n\
          \x20          [--matcher rete|naive|treat|threaded] [--workers N] [--table-size N]\n\
          \x20          [--partition rr|random|greedy] [--seed N] [--quiet] [--stats]\n\
-         \x20          [--profile DIR] [--adapt]",
+         \x20          [--profile DIR]",
     ),
     (
         "trace",
@@ -178,18 +167,25 @@ fn check_flags(cmd: &str, args: &Args, allowed: &[&str]) {
             exit(2);
         }
     }
+    if let Some(key) = &args.dangling {
+        usage_error(format!("flag --{key} needs a value"));
+    }
 }
 
 /// Minimal flag parser: positional args plus `--key value` pairs.
 struct Args {
     positional: Vec<String>,
     flags: Vec<(String, String)>,
+    /// A value flag given last, with no value after it; reported by
+    /// [`check_flags`] once the flag is known to be valid.
+    dangling: Option<String>,
 }
 
 impl Args {
     fn parse(raw: Vec<String>) -> Args {
         let mut positional = Vec::new();
         let mut flags = Vec::new();
+        let mut dangling = None;
         let mut it = raw.into_iter();
         while let Some(a) = it.next() {
             if let Some(key) = a.strip_prefix("--") {
@@ -197,13 +193,14 @@ impl Args {
                     || key == "stats"
                     || key == "shrink"
                     || key == "synthetic"
-                    || key == "adapt"
                     || key == "migrate"
                 {
                     flags.push((key.to_owned(), "true".to_owned()));
                 } else {
                     let Some(v) = it.next() else {
-                        fail(format!("flag --{key} needs a value"));
+                        flags.push((key.to_owned(), String::new()));
+                        dangling = Some(key.to_owned());
+                        break;
                     };
                     flags.push((key.to_owned(), v));
                 }
@@ -211,7 +208,11 @@ impl Args {
                 positional.push(a);
             }
         }
-        Args { positional, flags }
+        Args {
+            positional,
+            flags,
+            dangling,
+        }
     }
 
     fn get(&self, key: &str) -> Option<&str> {
@@ -304,46 +305,6 @@ fn greedy_partition(
     Partition::greedy(&bucket_activity(&run.trace), workers)
 }
 
-/// `--adapt`: profiled sequential pre-run → suggested transform plan →
-/// transformed network, plus the pre-run's bucket skew factor and a
-/// human-readable plan summary for the stderr report.
-fn adaptive_network(
-    program: &mpps::ops::Program,
-    wmes: &[Wme],
-    strategy: Strategy,
-    cycles: usize,
-    table_size: u64,
-) -> (ReteNetwork, f64, String) {
-    let network = ReteNetwork::compile(program).unwrap_or_else(|e| fail(e));
-    let matcher = ReteMatcher::with_metrics(
-        network,
-        EngineConfig {
-            table_size,
-            record_trace: false,
-        },
-        MetricsRegistry::new(),
-    );
-    let mut interp = Interpreter::with_matcher(program.clone(), strategy, matcher);
-    for w in wmes {
-        interp.add_wme(w.clone());
-    }
-    interp.run(cycles).unwrap_or_else(|e| fail(e));
-    let reg = interp.matcher_mut().profile();
-    let skew_before = bucket_skew_factor(&reg).unwrap_or(0.0);
-    let empty = std::collections::BTreeMap::new();
-    let activations = reg
-        .counter(kernel::metric::NODE_ACTIVATIONS)
-        .unwrap_or(&empty);
-    // `suggest_plan` wants the network the activations were measured on;
-    // recompiling is cheap next to the pre-run itself.
-    let net = ReteNetwork::compile(program).unwrap_or_else(|e| fail(e));
-    let plan = suggest_plan(&net, program, activations, wmes, &SuggestOptions::default());
-    let summary = plan.summary(program);
-    let transformed = ReteNetwork::compile_planned(program, CompileOptions::default(), &plan)
-        .unwrap_or_else(|e| fail(e));
-    (transformed, skew_before, summary)
-}
-
 /// The builtin characteristic sections usable as `mpps run` programs:
 /// program plus initial working memory, sized like the bench sections.
 fn builtin_workload(name: &str) -> Option<(Program, Vec<Wme>)> {
@@ -385,7 +346,6 @@ fn cmd_run(args: &Args) {
             "quiet",
             "stats",
             "profile",
-            "adapt",
         ],
     );
     let [program_path] = &args.positional[..] else {
@@ -411,12 +371,7 @@ fn cmd_run(args: &Args) {
     let strategy = strategy_of(args);
     let quiet = args.get("quiet").is_some();
     let profile_dir = args.get("profile");
-    let adapt = args.get("adapt").is_some();
-    let matcher_name = args.get("matcher").unwrap_or("rete");
-    if adapt && matcher_name != "threaded" {
-        usage_error("--adapt requires --matcher threaded (it drives the online repartitioner)");
-    }
-    match matcher_name {
+    match args.get("matcher").unwrap_or("rete") {
         "rete" => {
             if let Some(dir) = profile_dir {
                 let network = ReteNetwork::compile(&program).unwrap_or_else(|e| fail(e));
@@ -468,26 +423,12 @@ fn cmd_run(args: &Args) {
                 }
                 other => usage_error(format!("unknown partition {other:?} (rr|random|greedy)")),
             };
-            // With --adapt the transformed network replaces the plain
-            // compile, and the matcher is always profiled: the skew report
-            // needs the per-bucket activation counters. Profiling never
-            // changes stdout, so quiet runs stay byte-identical.
-            let (network, skew_before, plan_summary) = if adapt {
-                let (net, skew, summary) =
-                    adaptive_network(&program, &wmes, strategy, cycles, table_size);
-                (net, skew, summary)
-            } else {
-                let net = ReteNetwork::compile(&program).unwrap_or_else(|e| fail(e));
-                (net, 0.0, String::new())
-            };
-            let mut m = if profile_dir.is_some() || adapt {
+            let network = ReteNetwork::compile(&program).unwrap_or_else(|e| fail(e));
+            let m = if profile_dir.is_some() {
                 ThreadedMatcher::with_partition_profiled(network, partition)
             } else {
                 ThreadedMatcher::with_partition(network, partition)
             };
-            if adapt {
-                m.enable_adaptation(AdaptOptions::default());
-            }
             let mut interp = run_with(program, wmes, m, strategy, cycles, quiet);
             if args.get("stats").is_some() {
                 let stats = interp.matcher().stats();
@@ -499,26 +440,6 @@ fn cmd_run(args: &Args) {
                         w.tokens_processed, w.tokens_forwarded, w.messages_sent, w.max_queue_depth
                     );
                 }
-            }
-            if adapt {
-                let matcher = interp.matcher_mut();
-                let reg = matcher.profile_snapshot().unwrap_or_else(|e| fail(e));
-                let skew_after = bucket_skew_factor(&reg).unwrap_or(0.0);
-                let events = matcher.rebalance_events();
-                let moved: u64 = events.iter().map(|e| e.moved_buckets).sum();
-                eprintln!(
-                    "adapt: plan {}",
-                    if plan_summary.is_empty() {
-                        "(empty)"
-                    } else {
-                        &plan_summary
-                    }
-                );
-                eprintln!(
-                    "adapt: bucket skew {skew_before:.3} -> {skew_after:.3}; \
-                     {} rebalances moved {moved} buckets",
-                    events.len()
-                );
             }
             if let Some(dir) = profile_dir {
                 let matcher = interp.matcher_mut();

@@ -697,20 +697,30 @@ fn unknown_flags_are_usage_errors_everywhere() {
     }
 }
 
-/// Only `mpps run` takes `--adapt`; for `mpps serve` it is an unknown
-/// flag like any other.
+/// Bucket ownership is static: no subcommand takes `--adapt`, and the
+/// fuzzer has no `threaded-adapt` lane. Each is a usage error (exit 2).
 #[test]
 fn serve_adapt_is_an_unknown_flag() {
-    let out = mpps()
-        .args(["serve", "--synthetic", "--sessions", "1", "--adapt"])
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("unknown flag --adapt for `mpps serve`"),
-        "{stderr}"
-    );
+    let cases: [(&[&str], &str); 3] = [
+        (
+            &["serve", "--synthetic", "--sessions", "1", "--adapt"],
+            "unknown flag --adapt for `mpps serve`",
+        ),
+        (
+            &["run", "tourney", "--matcher", "threaded", "--adapt"],
+            "unknown flag --adapt for `mpps run`",
+        ),
+        (
+            &["fuzz", "--matchers", "threaded-adapt"],
+            "unknown matcher \"threaded-adapt\"",
+        ),
+    ];
+    for (args, expect) in cases {
+        let out = mpps().args(args).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(expect), "{args:?}: {stderr}");
+    }
 }
 
 #[test]
